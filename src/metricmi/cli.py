@@ -153,6 +153,17 @@ def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
     return MetricSpec.van_rossum(args.tau)
 
 
+def _distance_matrix(dataset, metric):
+    """The dense matrix; running out of memory names its size."""
+    try:
+        return distance_matrix(dataset, metric)
+    except MemoryError:
+        n = dataset.n_r
+        raise MemoryError(
+            f"the distance matrix for n_r = {n} responses needs {8 * n * n} bytes"
+        ) from None
+
+
 def _cmd_gen_toy(args, parser) -> int:
     spec = ToySpec(args.ns, args.nd, args.nt, args.sigma2, args.seed)
     dataset, _, _ = generate_toy(spec)
@@ -163,7 +174,7 @@ def _cmd_gen_toy(args, parser) -> int:
 def _cmd_distances(args, parser) -> int:
     dataset = load_dataset(args.input, args.format)
     metric = _metric_from_args(args, dataset.kind, parser)
-    write_distance_csv(distance_matrix(dataset, metric), args.output)
+    write_distance_csv(_distance_matrix(dataset, metric), args.output)
     return 0
 
 
@@ -177,7 +188,7 @@ def _cmd_estimate(args, parser) -> int:
         dm = None
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
-        dm = distance_matrix(dataset, metric)
+        dm = _distance_matrix(dataset, metric)
         if args.ksg:
             if args.nk is None:
                 parser.error("--ksg requires --nk")
@@ -246,6 +257,9 @@ def main(argv=None) -> int:
         return args.handler(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

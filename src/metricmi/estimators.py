@@ -298,8 +298,19 @@ def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstima
 
 
 def bin_ids(vectors: np.ndarray, config: HistogramConfig) -> np.ndarray:
-    """Dense ids of the occupied bins, one per point, in lexicographic bin order."""
-    cells = np.floor((vectors - config.origin) / config.width).astype(np.int64)
+    """Dense ids of the occupied bins, one per point, in lexicographic bin order.
+
+    Raises ValueError when a cell index is not finite or does not fit in
+    int64, where a cast would send distinct cells to one bin.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor((vectors - config.origin) / config.width)
+    if not np.all((cells >= -(2.0**63)) & (cells < 2.0**63)):
+        raise ValueError(
+            f"histogram cell index out of the int64 range at bin width {config.width!r} "
+            f"and origin {config.origin!r}"
+        )
+    cells = cells.astype(np.int64)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     return inverse.reshape(-1)
 

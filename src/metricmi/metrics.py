@@ -116,38 +116,102 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+def _pad_columns(trains) -> tuple[np.ndarray, np.ndarray]:
+    """Trains as the columns of a zero-padded (longest, count) array, and their lengths."""
+    sizes = np.array([t.size for t in trains], dtype=np.intp)
+    columns = np.zeros((int(sizes.max(initial=0)), len(trains)), dtype=np.float64)
+    for k, t in enumerate(trains):
+        columns[: t.size, k] = t
+    return columns, sizes
+
+
+def _vp_row(a: np.ndarray, columns: np.ndarray, sizes: np.ndarray, q: float) -> np.ndarray:
+    """Victor-Purpura distances from train ``a`` to each padded column.
+
+    Runs the standard O(len(a) * len(b)) dynamic program for every column b
+    at once, one spike of ``a`` per step.  Entry j of a step depends only on
+    entries <= j of the previous one, so the padding below a column's length
+    never reaches the entry that is read, ``sizes[j]``, and every distance
+    equals the one the program computes for that pair alone.
+    """
+    offsets = np.arange(columns.shape[0] + 1, dtype=np.float64)[:, None]
+    prev = np.repeat(offsets, columns.shape[1], axis=1)
+    cur = np.empty_like(prev)
+    for i, t in enumerate(a, start=1):
+        cur[0] = float(i)
+        # delete a[i-1], or shift it onto each b[j-1]
+        np.minimum(prev[1:] + 1.0, prev[:-1] + q * np.abs(t - columns), out=cur[1:])
+        # resolve insertions top down: cur[j] = min_{k<=j} cur[k] + (j - k)
+        cur -= offsets
+        np.minimum.accumulate(cur, axis=0, out=cur)
+        cur += offsets
+        prev, cur = cur, prev
+    return prev[sizes, np.arange(sizes.size)]
+
+
+def _vp_upper_rows(trains, q: float):
+    """Yield, for each train i, its Victor-Purpura distances to trains i+1, ..."""
+    columns, sizes = _pad_columns(trains)
+    for i, a in enumerate(trains):
+        yield _vp_row(a, columns[:, i + 1 :], sizes[i + 1 :], q)
+
+
 def victor_purpura_distance(a, b, q: float) -> float:
     """Victor-Purpura spike-train edit distance.
 
     Minimal-cost transformation of train ``a`` into train ``b`` where deleting
     or inserting a spike costs 1 and moving a spike by dt costs q * |dt|.
     Computed by the standard O(len(a) * len(b)) dynamic program, vectorized
-    one row at a time.
+    one row at a time; the same code fills ``distance_matrix``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n_a, n_b = a.size, b.size
-    if n_a == 0 or n_b == 0:
-        return float(n_a + n_b)
-    offsets = np.arange(n_b + 1, dtype=np.float64)
-    prev = offsets.copy()
-    cur = np.empty(n_b + 1, dtype=np.float64)
-    for i in range(1, n_a + 1):
-        cur[0] = float(i)
-        # delete a[i-1], or shift it onto each b[j-1]
-        cur[1:] = np.minimum(prev[1:] + 1.0, prev[:-1] + q * np.abs(a[i - 1] - b))
-        # resolve insertions left to right: cur[j] = min_{k<=j} cur[k] + (j - k)
-        cur -= offsets
-        np.minimum.accumulate(cur, out=cur)
-        cur += offsets
-        prev, cur = cur, prev
-    return float(prev[-1])
+    trains = [np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)]
+    return float(next(_vp_upper_rows(trains, q))[0])
 
 
-def _vr_kernel_sum(a: np.ndarray, b: np.ndarray, tau: float) -> float:
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    return float(np.sum(np.exp(-np.abs(a[:, None] - b[None, :]) / tau)))
+# exponentials held at once (128 KiB): caps the working memory of a van
+# Rossum row, whatever the number of trains
+_VR_BLOCK = 1 << 14
+
+
+def _vr_kernel_sums(a: np.ndarray, spikes: np.ndarray, sizes: np.ndarray,
+                    tau: float) -> np.ndarray:
+    """sum_kl exp(-|a_k - b_l| / tau) for each train b, the trains laid end to end in ``spikes``.
+
+    The exponentials are evaluated against many trains at once; each train's
+    block is then summed as its own contiguous (len(a), len(b)) array, the
+    reduction a lone pair gets, so the sums are reproducible pair by pair.
+    """
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    step = max(1, _VR_BLOCK // max(1, a.size * int(sizes.max(initial=0))))
+    sums = np.empty(sizes.size, dtype=np.float64)
+    for lo in range(0, sizes.size, step):
+        hi = min(lo + step, sizes.size)
+        base = starts[lo]
+        # exp(-|a_k - b_l| / tau), step by step in one buffer
+        e = np.subtract.outer(a, spikes[base : ends[hi - 1]])
+        np.abs(e, out=e)
+        np.negative(e, out=e)
+        np.divide(e, tau, out=e)
+        np.exp(e, out=e)
+        for k in range(lo, hi):
+            # numpy 2.4 sums the strided view the same way, but only the
+            # contiguous copy is sure to take the lone pair's reduction path
+            sums[k] = np.sum(np.ascontiguousarray(e[:, starts[k] - base : ends[k] - base]))
+    return sums
+
+
+def _vr_upper_rows(trains, tau: float):
+    """Yield, for each train i, its van Rossum distances to trains i+1, ..."""
+    sizes = np.array([t.size for t in trains], dtype=np.intp)
+    spikes = np.concatenate(trains)
+    ends = np.cumsum(sizes)
+    selfs = np.array([_vr_kernel_sums(t, t, sizes[k : k + 1], tau)[0]
+                      for k, t in enumerate(trains)])
+    for i, a in enumerate(trains):
+        cross = _vr_kernel_sums(a, spikes[ends[i] :], sizes[i + 1 :], tau)
+        d2 = 0.5 * (selfs[i] + selfs[i + 1 :] - 2.0 * cross)
+        yield np.sqrt(np.maximum(d2, 0.0))
 
 
 def van_rossum_distance(a, b, tau: float) -> float:
@@ -156,16 +220,10 @@ def van_rossum_distance(a, b, tau: float) -> float:
     Each train is mapped to a sum of causal exponentials exp(-(t - t_i)/tau)
     and the distance is sqrt((1/tau) * integral (f - g)^2 dt), evaluated in
     closed form through pairwise exp(-|t_i - t_j|/tau) sums; no time grid is
-    involved.
+    involved.  The same code fills ``distance_matrix``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d2 = 0.5 * (
-        _vr_kernel_sum(a, a, tau)
-        + _vr_kernel_sum(b, b, tau)
-        - 2.0 * _vr_kernel_sum(a, b, tau)
-    )
-    return math.sqrt(max(d2, 0.0))
+    trains = [np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)]
+    return float(next(_vr_upper_rows(trains, tau))[0])
 
 
 def _check_variant(kind: str, m: MetricSpec) -> None:
@@ -195,15 +253,14 @@ def distance_matrix(d: LabeledDataset, m: MetricSpec) -> DistanceMatrix:
         values = cdist(d.vectors, d.vectors)
         np.fill_diagonal(values, 0.0)
         return DistanceMatrix(values)
-    trains = d.trains
+    if m.kind == VICTOR_PURPURA:
+        rows = _vp_upper_rows(d.trains, m.q)
+    else:
+        rows = _vr_upper_rows(d.trains, m.tau)
     values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.kind == VICTOR_PURPURA:
-                v = victor_purpura_distance(trains[i], trains[j], m.q)
-            else:
-                v = van_rossum_distance(trains[i], trains[j], m.tau)
-            values[i, j] = values[j, i] = v
+    for i, row in enumerate(rows):
+        values[i, i + 1 :] = row
+        values[i + 1 :, i] = row
     return DistanceMatrix(values)
 
 

@@ -131,6 +131,28 @@ class TestEstimate:
         assert run_cli(["estimate", "--input", str(data)]) == 1
         assert "stimulus" in capsys.readouterr().err
 
+    def test_histogram_cell_overflow_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0,1e30\n0,2e30\n1,5\n1,6\n")
+        assert run_cli(["estimate", "--input", str(data), "--histogram",
+                        "--bin-width", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "int64" in captured.err
+
+    @pytest.mark.parametrize("command", ["estimate", "distances"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        def no_memory(dataset, metric):
+            raise MemoryError()
+
+        monkeypatch.setattr("metricmi.cli.distance_matrix", no_memory)
+        data = self._gen(tmp_path)
+        assert run_cli([command, "--input", str(data), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert "n_r = 100" in err and f"{8 * 100 * 100} bytes" in err
+        assert not (tmp_path / "out").exists()
+
     def test_ksg_without_nk_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)
         with pytest.raises(SystemExit) as exc:

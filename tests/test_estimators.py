@@ -317,6 +317,21 @@ class TestHistogramMi:
         with pytest.raises(MixedVariantError):
             histogram_mi(ds, HistogramConfig(width=1.0))
 
+    def test_cell_index_outside_int64_rejected(self):
+        # 1e30/1e-300 overflows to inf and 5/1e-300 exceeds int64; a cast
+        # would put all four points in one bin and report 0 bits, not 1
+        ds = LabeledDataset.from_vectors([[1e30], [2e30], [5.0], [6.0]], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="int64"):
+            histogram_mi(ds, HistogramConfig(width=1e-300))
+        ds = LabeledDataset.from_vectors([[0.0], [0.0], [1e10], [1e10]], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="int64"):
+            histogram_mi(ds, HistogramConfig(width=1e-10))
+
+    def test_cell_index_near_int64_limits_kept(self):
+        X = [[-9e18], [-9e18], [9e18], [9e18]]
+        ds = LabeledDataset.from_vectors(X, [0, 0, 1, 1])
+        assert histogram_mi(ds, HistogramConfig(width=1.0)).bits == 1.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HistogramConfig(width=0.0)

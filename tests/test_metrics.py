@@ -56,6 +56,67 @@ def vr_oracle(a, b, tau):
     return math.sqrt(trapezoid(diff * diff, t) / tau)
 
 
+def vp_pair(a, b, q):
+    """The per-pair Victor-Purpura dynamic program, one pair at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n_a, n_b = a.size, b.size
+    if n_a == 0 or n_b == 0:
+        return float(n_a + n_b)
+    offsets = np.arange(n_b + 1, dtype=np.float64)
+    prev = offsets.copy()
+    cur = np.empty(n_b + 1, dtype=np.float64)
+    for i in range(1, n_a + 1):
+        cur[0] = float(i)
+        cur[1:] = np.minimum(prev[1:] + 1.0, prev[:-1] + q * np.abs(a[i - 1] - b))
+        cur -= offsets
+        np.minimum.accumulate(cur, out=cur)
+        cur += offsets
+        prev, cur = cur, prev
+    return float(prev[-1])
+
+
+def vr_pair(a, b, tau):
+    """The closed-form van Rossum distance of one pair, each kernel sum taken alone."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+
+    def kernel_sum(x, y):
+        if x.size == 0 or y.size == 0:
+            return 0.0
+        return float(np.sum(np.exp(-np.abs(x[:, None] - y[None, :]) / tau)))
+
+    d2 = 0.5 * (kernel_sum(a, a) + kernel_sum(b, b) - 2.0 * kernel_sum(a, b))
+    return math.sqrt(max(d2, 0.0))
+
+
+SPIKE_METRICS = [
+    (MetricSpec.victor_purpura(0.0), lambda a, b: vp_pair(a, b, 0.0)),
+    (MetricSpec.victor_purpura(1.0), lambda a, b: vp_pair(a, b, 1.0)),
+    (MetricSpec.victor_purpura(10.0), lambda a, b: vp_pair(a, b, 10.0)),
+    (MetricSpec.van_rossum(0.02), lambda a, b: vr_pair(a, b, 0.02)),
+]
+
+
+def pairwise_matrix(trains, pair):
+    n = len(trains)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = pair(trains[i], trains[j])
+    return values
+
+
+def assert_matrix_matches_pairs(trains):
+    ds = LabeledDataset.from_spike_trains(trains, [0] * len(trains))
+    for m, pair in SPIKE_METRICS:
+        got = distance_matrix(ds, m).values
+        assert np.array_equal(got, pairwise_matrix(ds.trains, pair)), m
+        # entry [i, j] is the scalar distance from the lower index to the higher
+        for j in {len(trains) // 2, len(trains) - 1}:
+            assert distance(ds.point(0), ds.point(j), m) == got[0, j] == got[j, 0], m
+
+
 class TestEuclidean:
     def test_pythagoras(self):
         assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
@@ -219,6 +280,43 @@ class TestDistanceMatrix:
             [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
         )
         assert np.array_equal(back, dm.values)
+
+
+class TestSpikeMatrixMatchesPairs:
+    """The batched spike matrix equals every pair computed alone, bit for bit."""
+
+    def test_random_trains_up_to_thirty_spikes(self):
+        rng = np.random.default_rng(19)
+        trains = [np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 31))) for _ in range(24)]
+        assert_matrix_matches_pairs(trains)
+
+    def test_empty_and_duplicate_trains(self):
+        rng = np.random.default_rng(20)
+        trains = [np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 25))) for _ in range(9)]
+        trains[0] = trains[4] = trains[8] = np.array([])
+        trains[6] = trains[2].copy()
+        assert_matrix_matches_pairs(trains)
+        ds = LabeledDataset.from_spike_trains(trains, [0] * 9)
+        for m, _ in SPIKE_METRICS:
+            dm = distance_matrix(ds, m).values
+            assert dm[2, 6] == 0.0 and dm[6, 2] == 0.0
+            assert dm[0, 4] == 0.0 and dm[4, 8] == 0.0
+
+    def test_long_trains(self):
+        # 150 x 150 exponentials exceed one van Rossum block per pair
+        rng = np.random.default_rng(21)
+        assert_matrix_matches_pairs([np.sort(rng.uniform(0.0, 1.0, 150)) for _ in range(3)])
+
+    def test_single_train(self):
+        for train in ([], [0.25, 0.5]):
+            ds = LabeledDataset.from_spike_trains([train], [0])
+            for m, _ in SPIKE_METRICS:
+                assert distance_matrix(ds, m).values.tolist() == [[0.0]]
+
+    @given(st.lists(spike_trains, min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_pairs_on_any_trains(self, trains):
+        assert_matrix_matches_pairs(trains)
 
 
 class TestNeighborOrder:
