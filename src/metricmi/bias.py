@@ -18,9 +18,11 @@ from .estimators import (
     HistogramConfig,
     KernelConfig,
     KsgConfig,
+    NeighborTable,
     bin_ids,
     contingency,
     kernel_bits_from_counts,
+    ksg_bits,
     ksg_mi,
     plugin_mi_bits,
 )
@@ -44,26 +46,6 @@ class BiasFit:
     residual: float
 
 
-def _kernel_bits_subset(
-    full_orders: np.ndarray,
-    labels: np.ndarray,
-    subset: np.ndarray,
-    n_s: int,
-    n_h: int,
-) -> float:
-    # Filtering a full (distance, index)-stable neighbor order down to the
-    # subset reproduces the subset's own neighbor order exactly, because
-    # subsetting preserves the relative order of equal distances.
-    member = np.zeros(labels.size, dtype=bool)
-    member[subset] = True
-    c = np.empty(subset.size, dtype=np.int64)
-    for k in range(subset.size):
-        row = full_orders[subset[k]]
-        nearest = row[member[row]][:n_h]
-        c[k] = np.count_nonzero(labels[nearest] == labels[subset[k]])
-    return kernel_bits_from_counts(c, n_s, n_h)
-
-
 def _sub_bandwidth(config: KernelConfig, n_r_full: int, n_r_sub: int) -> int:
     # Hold the mass fraction constant as the dataset shrinks.  Count-based
     # configs scale by exact integer arithmetic so that lam = 1 recovers the
@@ -79,23 +61,19 @@ def _sub_bandwidth(config: KernelConfig, n_r_full: int, n_r_sub: int) -> int:
     return n_h
 
 
-def subsample_curve(
+def subsample_draws(
     d: LabeledDataset,
-    dm: DistanceMatrix | None,
-    config,
     lambdas=DEFAULT_LAMBDAS,
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
-) -> list[tuple[int, float]]:
-    """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
+) -> list[tuple[int, list[np.ndarray]]]:
+    """The subsamples of a curve: [(n_t_sub, [indices, ...]), ...].
 
     Each fraction lam keeps floor(lam * n_t) trials per stimulus; fractions
-    below 2 trials are rejected.  For lam < 1 the mean is over ``repeats``
-    independent stratified subsamples (substreams derived from (seed,
+    below 2 trials are rejected.  For lam < 1 there are ``repeats``
+    independent stratified draws (substreams derived from (seed,
     lambda-index, repeat-index), so results do not depend on evaluation
-    order); lam = 1 is computed once.  Kernel bandwidths given as a count are
-    converted to the equivalent fraction of the full dataset so the
-    estimator keeps its character as the subsample shrinks.
+    order); lam = 1 is the whole dataset, once.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -104,8 +82,8 @@ def subsample_curve(
     lambdas = tuple(lambdas)
     if not lambdas:
         raise ValueError("no subsample fractions given")
-    sizes = []
-    for lam in lambdas:
+    draws = []
+    for li, lam in enumerate(lambdas):
         if not 0.0 < lam <= 1.0:
             raise ValueError(f"subsample fraction must be in (0, 1], got {lam}")
         n_t_sub = math.floor(lam * d.n_t)
@@ -113,16 +91,48 @@ def subsample_curve(
             raise ValueError(
                 f"fraction {lam} leaves {n_t_sub} < 2 trials per stimulus"
             )
-        sizes.append(n_t_sub)
+        if n_t_sub == d.n_t:
+            subsets = [np.arange(d.n_r, dtype=np.intp)]
+        else:
+            subsets = [
+                subsample_indices(d, lam, derived_seed(seed, li, ri))
+                for ri in range(repeats)
+            ]
+        draws.append((n_t_sub, subsets))
+    return draws
+
+
+def subsample_curve(
+    d: LabeledDataset,
+    dm: DistanceMatrix | None,
+    config,
+    lambdas=DEFAULT_LAMBDAS,
+    repeats: int = DEFAULT_REPEATS,
+    seed: int = 0,
+    *,
+    draws=None,
+) -> list[tuple[int, float]]:
+    """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
+
+    The subsamples are ``subsample_draws(d, lambdas, repeats, seed)``, or
+    ``draws`` when given, so that curves of several configs can share one
+    set.  Kernel bandwidths given as a count are converted to the
+    equivalent fraction of the full dataset so the estimator keeps its
+    character as the subsample shrinks.  Kernel and KSG count every
+    subsample in one NeighborTable of the full matrix, which gives the
+    same bits as estimating each subsample on its own submatrix.
+    """
+    if draws is None:
+        draws = subsample_draws(d, lambdas, repeats, seed)
 
     if isinstance(config, KernelConfig):
         if dm is None:
             raise ValueError("kernel estimation needs a distance matrix")
-        full_orders = np.argsort(dm.values, axis=1, kind="stable")
+        table = NeighborTable(dm, d.labels)
 
         def estimate(subset: np.ndarray) -> float:
             n_h = _sub_bandwidth(config, d.n_r, subset.size)
-            return _kernel_bits_subset(full_orders, d.labels, subset, d.n_s, n_h)
+            return kernel_bits_from_counts(table.kernel_counts(n_h, subset), d.n_s, n_h)
 
     elif isinstance(config, HistogramConfig):
         ids = bin_ids(d.vectors, config)
@@ -135,24 +145,20 @@ def subsample_curve(
     elif isinstance(config, KsgConfig):
         if dm is None:
             raise ValueError("ksg estimation needs a distance matrix")
+        table = NeighborTable(dm, d.labels)
 
         def estimate(subset: np.ndarray) -> float:
-            return ksg_mi(d.take(subset), dm.submatrix(subset), config).bits
+            if subset.size == d.n_r:
+                return ksg_mi(d, dm, config, table=table).bits
+            return ksg_bits(table, config, d.n_s, subset)
 
     else:
         raise TypeError(f"unsupported estimator config {type(config).__name__}")
 
-    curve = []
-    for li, (lam, n_t_sub) in enumerate(zip(lambdas, sizes)):
-        if n_t_sub == d.n_t:
-            values = [estimate(np.arange(d.n_r, dtype=np.intp))]
-        else:
-            values = []
-            for ri in range(repeats):
-                idx = subsample_indices(d, lam, derived_seed(seed, li, ri))
-                values.append(estimate(idx))
-        curve.append((n_t_sub, float(np.mean(np.asarray(values)))))
-    return curve
+    return [
+        (n_t_sub, float(np.mean(np.asarray([estimate(s) for s in subsets]))))
+        for n_t_sub, subsets in draws
+    ]
 
 
 def _solve3(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -209,7 +215,11 @@ def bias_corrected_mi(
     lambdas=DEFAULT_LAMBDAS,
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
+    *,
+    draws=None,
 ) -> tuple[BiasFit, list[tuple[int, float]]]:
     """Subsample curve plus its quadratic fit; intercept is the corrected MI."""
-    curve = subsample_curve(d, dm, config, lambdas=lambdas, repeats=repeats, seed=seed)
+    curve = subsample_curve(
+        d, dm, config, lambdas=lambdas, repeats=repeats, seed=seed, draws=draws
+    )
     return quadratic_extrapolate(curve), curve

@@ -153,15 +153,13 @@ def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
     return MetricSpec.van_rossum(args.tau)
 
 
-def _distance_matrix(dataset, metric):
-    """The dense matrix; running out of memory names its size."""
-    try:
-        return distance_matrix(dataset, metric)
-    except MemoryError:
-        n = dataset.n_r
-        raise MemoryError(
-            f"the distance matrix for n_r = {n} responses needs {8 * n * n} bytes"
-        ) from None
+def _out_of_memory(n: int, with_order: bool) -> MemoryError:
+    # kernel and KSG hold an int64 neighbor order as large as the matrix
+    size = 8 * n * n
+    text = f"the distance matrix for n_r = {n} responses needs {size} bytes"
+    if with_order:
+        text += f", and its int64 neighbor order another {size} ({2 * size} in all)"
+    return MemoryError(text)
 
 
 def _cmd_gen_toy(args, parser) -> int:
@@ -174,12 +172,32 @@ def _cmd_gen_toy(args, parser) -> int:
 def _cmd_distances(args, parser) -> int:
     dataset = load_dataset(args.input, args.format)
     metric = _metric_from_args(args, dataset.kind, parser)
-    write_distance_csv(_distance_matrix(dataset, metric), args.output)
+    try:
+        dm = distance_matrix(dataset, metric)
+    except MemoryError:
+        raise _out_of_memory(dataset.n_r, with_order=False) from None
+    write_distance_csv(dm, args.output)
     return 0
 
 
 def _cmd_estimate(args, parser) -> int:
     dataset = load_dataset(args.input, args.format)
+    try:
+        out = _estimate(args, parser, dataset)
+    except MemoryError:
+        if args.histogram:
+            raise
+        raise _out_of_memory(dataset.n_r, with_order=True) from None
+    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _estimate(args, parser, dataset) -> dict:
     if args.histogram:
         if args.bin_width is None:
             parser.error("--histogram requires --bin-width")
@@ -188,7 +206,7 @@ def _cmd_estimate(args, parser) -> int:
         dm = None
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
-        dm = _distance_matrix(dataset, metric)
+        dm = distance_matrix(dataset, metric)
         if args.ksg:
             if args.nk is None:
                 parser.error("--ksg requires --nk")
@@ -220,14 +238,7 @@ def _cmd_estimate(args, parser) -> int:
         out["A_bits"] = fit.A_bits
         out["B_bits"] = fit.B_bits
         out["residual"] = fit.residual
-
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return out
 
 
 def _cmd_benchmark(args, parser) -> int:

@@ -142,8 +142,11 @@ class LabeledDataset:
 
         labels = np.ascontiguousarray(labels)
         labels.setflags(write=False)
+        positions = np.argsort(labels, kind="stable").reshape(n_s, n_t)
+        positions.setflags(write=False)
         self.kind = kind
         self._labels = labels
+        self._positions = positions
         self.n_s = n_s
         self.n_t = n_t
 
@@ -158,6 +161,11 @@ class LabeledDataset:
     @property
     def labels(self) -> np.ndarray:
         return self._labels
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(n_s, n_t) point indices: row s holds stimulus s's points, ascending."""
+        return self._positions
 
     @property
     def n_r(self) -> int:
@@ -358,10 +366,7 @@ def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
     if k == d.n_t:
         return np.arange(d.n_r, dtype=np.intp)
     rng = np.random.default_rng(seed)
-    picks = []
-    for s in range(d.n_s):
-        positions = np.flatnonzero(d.labels == s)
-        picks.append(rng.choice(positions, size=k, replace=False))
+    picks = [rng.choice(row, size=k, replace=False) for row in d.positions]
     return np.sort(np.concatenate(picks)).astype(np.intp)
 
 

@@ -151,16 +151,104 @@ def _digamma_of_counts(counts: np.ndarray) -> np.ndarray:
     return table[inverse]
 
 
-def _stable_orders(values: np.ndarray) -> np.ndarray:
-    # stable sort of each row == (distance ascending, index ascending)
-    return np.argsort(values, axis=1, kind="stable")
-
-
 def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
     if dm.n_r != d.n_r:
         raise ValueError(
             f"distance matrix is {dm.n_r}x{dm.n_r} but dataset has {d.n_r} points"
         )
+
+
+class NeighborTable:
+    """Each point's neighbors in (distance, index) order, counted within a subset.
+
+    The order is one stable sort of each row of the distance matrix.  An
+    ascending subset's own order is that order filtered to its members, since
+    filtering keeps the relative order of equal distances, and every count is
+    an integer: a count on a subset equals the count on its submatrix sorted
+    afresh, bit for bit.  Counts read a prefix of K columns, K doubling up to
+    n_r for the rows it leaves short.  ``points`` limits the table to those
+    rows; counting within a subset needs every row.
+    """
+
+    def __init__(self, dm: DistanceMatrix, labels: np.ndarray, points=None):
+        self._values, self._labels = dm.values, np.asarray(labels)
+        if points is None:
+            self._points = np.arange(dm.n_r)
+            self._orders = np.argsort(dm.values, axis=1, kind="stable")
+        else:
+            self._points = np.asarray(points, dtype=np.intp)
+            self._orders = np.array([neighbor_order(dm, int(i)) for i in self._points])
+
+    def _count(self, subset, need, width, count) -> np.ndarray:
+        # count(points, cols, member) -> (counts, found) on the order prefixes
+        # cols; a row is done once it has found `need`, which only a KSG count
+        # can fail to do at full width
+        n = self._values.shape[0]
+        member = np.zeros(n, dtype=bool)
+        member[slice(None) if subset is None else subset] = True
+        points = self._points if subset is None else subset
+        width = -(-2 * width * n // np.count_nonzero(member))
+        out = np.empty(points.size, dtype=np.int64)
+        todo = np.arange(points.size)
+        while todo.size:
+            width = min(width, n)
+            rows = todo if subset is None else subset[todo]
+            counts, found = count(points[todo], self._orders[rows, :width], member)
+            done = found >= need
+            if width == n and not done.all():
+                k = int(np.argmin(done))
+                i = self._points[todo[k]] if subset is None else todo[k]
+                raise ValueError(
+                    f"point {i} has only {found[k]} usable same-stimulus "
+                    f"neighbors, need n_k = {need}"
+                )
+            out[todo[done]] = counts[done]
+            todo = todo[~done]
+            width *= 2
+        return out
+
+    def kernel_counts(self, n_h: int, subset=None) -> np.ndarray:
+        """c_i: same-stimulus members among each point's n_h nearest members.
+
+        The point itself is one of them; a row of fewer than n_h members
+        counts them all.
+        """
+        labels = self._labels
+        members = self._values.shape[0] if subset is None else subset.size
+
+        def count(points, cols, member):
+            inside = member[cols]
+            run = np.cumsum(inside, axis=1)
+            same = inside & (labels[cols] == labels[points, None])
+            return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
+
+        return self._count(subset, min(n_h, members), n_h, count)
+
+    def ksg_counts(self, config: KsgConfig, subset=None) -> np.ndarray:
+        """C_i: members within reach of each point's n_k-th same-stimulus member.
+
+        The anchor is the n_k-th usable same-stimulus member (self excluded
+        unless ``config.include_self``).  By rank, C_i counts the members
+        other than self at or before it; by distance, the members no farther
+        than it, minus self.
+        """
+        labels, n_k = self._labels, config.n_k
+
+        def count(points, cols, member):
+            inside = member[cols]
+            others = inside & (cols != points[:, None])
+            same = (inside if config.include_self else others) & (
+                labels[cols] == labels[points, None])
+            run = np.cumsum(same, axis=1)
+            anchor = np.argmax(run >= n_k, axis=1)
+            if config.count_by == KSG_COUNT_BY_RANK:
+                upto = np.arange(cols.shape[1]) <= anchor[:, None]
+                return np.count_nonzero(others & upto, axis=1), run[:, -1]
+            reach = self._values[points, cols[np.arange(points.size), anchor]]
+            within = self._values[points][:, member] <= reach[:, None]
+            return np.count_nonzero(within, axis=1) - 1, run[:, -1]
+
+        return self._count(subset, n_k, n_k * np.unique(labels).size, count)
 
 
 def neighbor_count_c(
@@ -173,13 +261,7 @@ def neighbor_count_c(
     """
     if not 1 <= n_h <= dm.n_r:
         raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
-    order = neighbor_order(dm, i)
-    return int(np.count_nonzero(labels[order[:n_h]] == labels[i]))
-
-
-def _kernel_counts(orders: np.ndarray, labels: np.ndarray, n_h: int) -> np.ndarray:
-    same = labels[orders[:, :n_h]] == labels[:, None]
-    return same.sum(axis=1)
+    return int(NeighborTable(dm, labels, [i]).kernel_counts(n_h)[0])
 
 
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
@@ -205,39 +287,9 @@ def kernel_mi(
     """
     _check_inputs(d, dm)
     n_h = config.resolve(d.n_r)
-    orders = _stable_orders(dm.values)
-    c = _kernel_counts(orders, labels=d.labels, n_h=n_h)
+    c = NeighborTable(dm, d.labels).kernel_counts(n_h)
     bits = kernel_bits_from_counts(c, d.n_s, n_h)
     return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
-
-
-def _ksg_counts(
-    values: np.ndarray,
-    orders: np.ndarray,
-    labels: np.ndarray,
-    config: KsgConfig,
-) -> np.ndarray:
-    n = labels.size
-    rows = np.arange(n)
-    lab_by_rank = labels[orders]
-    same = lab_by_rank == labels[:, None]
-    self_pos = np.argmax(orders == rows[:, None], axis=1)
-    if not config.include_self:
-        same[rows, self_pos] = False
-    available = same.sum(axis=1)
-    if np.any(available < config.n_k):
-        i = int(np.argmax(available < config.n_k))
-        raise ValueError(
-            f"point {i} has only {int(available[i])} usable same-stimulus "
-            f"neighbors, need n_k = {config.n_k}"
-        )
-    cum = np.cumsum(same, axis=1)
-    anchor_rank = np.argmax(cum >= config.n_k, axis=1)
-    if config.count_by == KSG_COUNT_BY_RANK:
-        # points at rank <= anchor_rank, excluding the center itself
-        return anchor_rank + 1 - (self_pos <= anchor_rank)
-    anchor_dist = values[rows, orders[rows, anchor_rank]]
-    return (values <= anchor_dist[:, None]).sum(axis=1) - 1
 
 
 def neighbor_count_C(
@@ -257,44 +309,43 @@ def neighbor_count_C(
     and ties cannot double-count.
     """
     config = KsgConfig(n_k, include_self=include_self, count_by=count_by)
-    order = neighbor_order(dm, i)
-    same = labels[order] == labels[i]
-    self_pos = int(np.argmax(order == i))
-    if not config.include_self:
-        same[self_pos] = False
-    if int(same.sum()) < n_k:
+    return int(NeighborTable(dm, labels, [i]).ksg_counts(config)[0])
+
+
+def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float:
+    """KSG estimate in bits on an ascending balanced subset of n_s stimuli.
+
+    ``table`` holds every row; the subset may be every point.
+    """
+    n_t = subset.size // n_s
+    needed = config.n_k if config.include_self else config.n_k + 1
+    if n_t < needed:
         raise ValueError(
-            f"point {i} has only {int(same.sum())} usable same-stimulus "
-            f"neighbors, need n_k = {n_k}"
+            f"n_k = {config.n_k} needs at least {needed} trials per stimulus, "
+            f"dataset has n_t = {n_t}"
         )
-    anchor_rank = int(np.argmax(np.cumsum(same) >= n_k))
-    if config.count_by == KSG_COUNT_BY_RANK:
-        return anchor_rank + 1 - (1 if self_pos <= anchor_rank else 0)
-    anchor_dist = dm.values[i, order[anchor_rank]]
-    return int(np.count_nonzero(dm.values[i] <= anchor_dist)) - 1
+    # psi(n_k) is folded into the per-point terms so that the degenerate
+    # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
+    delta = _digamma_of_counts(table.ksg_counts(config, subset)) - digamma(config.n_k)
+    nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
+    return nats / _LN2
 
 
-def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstimate:
+def ksg_mi(
+    d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig, *, table=None
+) -> MiEstimate:
     """Digamma k-nearest-neighbor MI estimate, converted from nats to bits.
 
     I_e = psi(n_k) + psi(n_r) - psi(n_t) - mean_i psi(C_i), where C_i counts
     the points of any stimulus within reach of i's n_k-th nearest
-    same-stimulus response; bits = I_e / ln 2.
+    same-stimulus response; bits = I_e / ln 2.  ``table``, a NeighborTable
+    of every row of ``dm``, saves sorting the matrix again.
     """
     _check_inputs(d, dm)
-    needed = config.n_k if config.include_self else config.n_k + 1
-    if d.n_t < needed:
-        raise ValueError(
-            f"n_k = {config.n_k} needs at least {needed} trials per stimulus, "
-            f"dataset has n_t = {d.n_t}"
-        )
-    orders = _stable_orders(dm.values)
-    counts = _ksg_counts(dm.values, orders, d.labels, config)
-    # psi(n_k) is folded into the per-point terms so that the degenerate
-    # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
-    delta = _digamma_of_counts(counts) - digamma(config.n_k)
-    nats = digamma(d.n_r) - digamma(d.n_t) - float(np.mean(delta))
-    return MiEstimate(nats / _LN2, "ksg", {"n_k": config.n_k})
+    if table is None:
+        table = NeighborTable(dm, d.labels)
+    bits = ksg_bits(table, config, d.n_s, np.arange(d.n_r))
+    return MiEstimate(bits, "ksg", {"n_k": config.n_k})
 
 
 def bin_ids(vectors: np.ndarray, config: HistogramConfig) -> np.ndarray:

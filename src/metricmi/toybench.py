@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
+from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi, subsample_draws
 from .data import LabeledDataset, derived_seed, format_float
 from .estimators import HistogramConfig, KernelConfig, histogram_mi, kernel_mi
 from .metrics import MetricSpec, distance_matrix
@@ -228,12 +228,12 @@ def _evaluate_candidate(task: _EvalTask) -> dict:
     kernel_raw = _curve_value_at(kcurve, ds.n_t)
     if kernel_raw is None:
         kernel_raw = kernel_mi(ds, dm, kcfg).bits
+    # every width is evaluated on the same subsamples, drawn once
+    hist_draws = subsample_draws(ds, task.lambdas, task.repeats, task.hist_seed)
     hist_corrected, hist_raw = [], []
     for width in task.widths:
         hcfg = HistogramConfig(width=width)
-        hfit, hcurve = bias_corrected_mi(
-            ds, None, hcfg, lambdas=task.lambdas, repeats=task.repeats, seed=task.hist_seed
-        )
+        hfit, hcurve = bias_corrected_mi(ds, None, hcfg, draws=hist_draws)
         raw = _curve_value_at(hcurve, ds.n_t)
         if raw is None:
             raw = histogram_mi(ds, hcfg).bits

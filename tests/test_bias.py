@@ -21,6 +21,7 @@ from metricmi import (
     subsample_indices,
 )
 from metricmi import derived_seed
+from metricmi.bias import subsample_draws
 
 
 def toy(rng, n_s=3, n_t=20, n_d=2, duplicates=False):
@@ -135,6 +136,47 @@ class TestSubsampleCurve:
         curve = subsample_curve(ds, dm, cfg, lambdas=(0.5, 1.0), repeats=2, seed=0)
         assert curve[1] == (10, ksg_mi(ds, dm, cfg).bits)
         assert all(math.isfinite(bits) for _, bits in curve)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [KsgConfig(n_k=2), KsgConfig(n_k=2, include_self=True),
+         KsgConfig(n_k=2, count_by="distance")],
+        ids=["rank", "include-self", "distance"],
+    )
+    @pytest.mark.parametrize("data", ["duplicates", "integer-line"])
+    def test_ksg_curve_matches_direct_estimator_below_one(self, cfg, data):
+        # the table path below lam = 1 must equal estimating each subsample
+        # on its own submatrix, bit for bit, through duplicates and ties
+        rng = np.random.default_rng(12)
+        if data == "duplicates":
+            ds, dm = toy(rng, n_s=3, n_t=12, duplicates=True)
+        else:
+            X = rng.integers(0, 5, size=(36, 1)).astype(np.float64)
+            ds = LabeledDataset.from_vectors(X, np.repeat(np.arange(3), 12))
+            dm = distance_matrix(ds, MetricSpec.euclidean())
+        lambdas = (0.25, 0.5, 0.75, 1.0)
+        curve = subsample_curve(ds, dm, cfg, lambdas=lambdas, repeats=3, seed=4)
+        for li, (lam, (_, bits)) in enumerate(zip(lambdas, curve)):
+            direct = [ksg_mi(ds, dm, cfg).bits] if lam == 1.0 else [
+                ksg_mi(ds.take(idx), dm.submatrix(idx), cfg).bits
+                for idx in (subsample_indices(ds, lam, derived_seed(4, li, ri))
+                            for ri in range(3))
+            ]
+            assert bits == float(np.mean(np.asarray(direct)))
+
+    def test_ksg_curve_too_few_trials_message(self):
+        # lam = 0.2 leaves 2 trials: too few for n_k = 2 without self
+        ds, dm = toy(np.random.default_rng(13), n_s=2, n_t=10)
+        msg = "n_k = 2 needs at least 3 trials per stimulus, dataset has n_t = 2"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            subsample_curve(ds, dm, KsgConfig(n_k=2), lambdas=(0.2, 1.0), repeats=2)
+
+    def test_shared_draws_give_the_same_curve(self):
+        ds, dm = toy(np.random.default_rng(14), n_s=3, n_t=10)
+        draws = subsample_draws(ds, (0.3, 0.6, 1.0), 4, 5)
+        for cfg in (KernelConfig(n_h=10), KsgConfig(n_k=1), HistogramConfig(width=0.7)):
+            own = subsample_curve(ds, dm, cfg, lambdas=(0.3, 0.6, 1.0), repeats=4, seed=5)
+            assert subsample_curve(ds, dm, cfg, draws=draws) == own
 
     def test_count_bandwidth_scales_exactly(self):
         # n_h = n_t on n_r = n_s * n_t must resolve to the subsample's trial

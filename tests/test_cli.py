@@ -151,7 +151,30 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory")
         assert "n_r = 100" in err and f"{8 * 100 * 100} bytes" in err
+        # kernel and KSG also hold an int64 neighbor order as large as the matrix
+        if command == "estimate":
+            assert f"neighbor order another {8 * 100 * 100} ({16 * 100 * 100} in all)" in err
+        else:
+            assert "neighbor order" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("estimator", ["kernel_mi", "ksg_mi", "bias_corrected_mi"])
+    def test_out_of_memory_in_estimator_names_both_arrays(
+        self, tmp_path, capsys, monkeypatch, estimator
+    ):
+        # the neighbor order is allocated after the matrix, inside the estimator
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(f"metricmi.cli.{estimator}", no_memory)
+        data = self._gen(tmp_path)
+        flags = ["--ksg", "--nk", "2"] if estimator == "ksg_mi" else []
+        if estimator == "bias_corrected_mi":
+            flags = ["--bias-correct"]
+        assert run_cli(["estimate", "--input", str(data), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert f"{8 * 100 * 100} bytes" in err and f"({16 * 100 * 100} in all)" in err
 
     def test_ksg_without_nk_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricmi import (
     DistanceMatrix,
@@ -22,6 +24,7 @@ from metricmi import (
     neighbor_count_C,
     neighbor_count_c,
 )
+from metricmi.estimators import NeighborTable
 
 mpmath.mp.dps = 30
 
@@ -350,3 +353,131 @@ class TestIndependenceNull:
         dm = distance_matrix(ds, MetricSpec.euclidean())
         bits = kernel_mi(ds, dm, KernelConfig(n_h=n_t)).bits
         assert abs(bits) < 0.1
+
+
+def fresh_kernel_counts(values, labels, n_h):
+    """Oracle: c_i from a fresh stable sort of every row of ``values``."""
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.count_nonzero(labels[order[:, :n_h]] == labels[:, None], axis=1)
+
+
+def fresh_ksg_count(values, labels, k, n_k, include_self, count_by):
+    """Oracle: C_k from a fresh stable sort of row k; None when too few neighbors."""
+    order = np.argsort(values[k], kind="stable")
+    usable = labels[order] == labels[k]
+    if not include_self:
+        usable &= order != k
+    if np.count_nonzero(usable) < n_k:
+        return None
+    anchor = np.flatnonzero(usable)[n_k - 1]
+    if count_by == "rank":
+        return int(np.count_nonzero(order[: anchor + 1] != k))
+    return int(np.count_nonzero(values[k] <= values[k, order[anchor]])) - 1
+
+
+def line_matrix(x):
+    """|x_i - x_j| for points on a line: integer points give exact ties."""
+    x = np.asarray(x, dtype=np.float64)
+    return DistanceMatrix(np.abs(x[:, None] - x[None, :]))
+
+
+def record_widths(monkeypatch):
+    """Prefix widths the table reads, one entry per pass over its rows."""
+    widths = []
+    original = NeighborTable._count
+
+    def spy(self, subset, need, width, count):
+        def recorded(points, cols, member):
+            widths.append(cols.shape[1])
+            return count(points, cols, member)
+
+        return original(self, subset, need, width, recorded)
+
+    monkeypatch.setattr(NeighborTable, "_count", spy)
+    return widths
+
+
+@st.composite
+def tied_tables(draw):
+    """Integer points on a short line (duplicates, tied distances), labels, a subset."""
+    n = draw(st.integers(2, 14))
+    x = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    return line_matrix(x), labels, np.flatnonzero(chosen)
+
+
+class TestNeighborTable:
+    @given(tied_tables(), st.integers(1, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_counts_match_fresh_sort_of_submatrix(self, case, n_h):
+        dm, labels, subset = case
+        n_h = min(n_h, subset.size)
+        table = NeighborTable(dm, labels)
+        sub = dm.values[np.ix_(subset, subset)]
+        want = fresh_kernel_counts(sub, labels[subset], n_h)
+        assert np.array_equal(table.kernel_counts(n_h, subset), want)
+        full = fresh_kernel_counts(dm.values, labels, n_h)
+        assert np.array_equal(table.kernel_counts(n_h), full)
+
+    @given(tied_tables(), st.integers(1, 4), st.booleans(),
+           st.sampled_from(["rank", "distance"]))
+    @settings(max_examples=200, deadline=None)
+    def test_ksg_counts_match_fresh_sort_of_submatrix(self, case, n_k, include_self, count_by):
+        dm, labels, subset = case
+        config = KsgConfig(n_k, include_self=include_self, count_by=count_by)
+        sub, sub_labels = dm.values[np.ix_(subset, subset)], labels[subset]
+        want = [fresh_ksg_count(sub, sub_labels, k, n_k, include_self, count_by)
+                for k in range(subset.size)]
+        table = NeighborTable(dm, labels)
+        if None in want:
+            k = want.index(None)
+            with pytest.raises(ValueError, match=f"^point {k} has only "):
+                table.ksg_counts(config, subset)
+        else:
+            assert table.ksg_counts(config, subset).tolist() == want
+
+    def test_kernel_prefix_widens_for_members_far_down_the_row(self, monkeypatch):
+        # points 0..59 on a line; point 0's nearest members sit at 50..59, past
+        # the first prefix of ceil(2 * n_h * 60 / 12) = 30 columns
+        widths = record_widths(monkeypatch)
+        dm = line_matrix(np.arange(60))
+        labels = np.arange(60) % 2
+        subset = np.concatenate([[0, 1], np.arange(50, 60)])
+        got = NeighborTable(dm, labels).kernel_counts(3, subset)
+        sub = dm.values[np.ix_(subset, subset)]
+        assert np.array_equal(got, fresh_kernel_counts(sub, labels[subset], 3))
+        assert widths == [30, 60]
+
+    def test_ksg_prefix_widens_for_same_stimulus_far_down_the_row(self, monkeypatch):
+        # stimulus 0 at 0, 100, ..., 400 and stimulus 1 packed at 1..5: point
+        # 0's nearest same-stimulus neighbor ranks sixth, past the first
+        # prefix of 2 * n_k * n_s = 4 columns
+        widths = record_widths(monkeypatch)
+        x = [0, 100, 200, 300, 400, 1, 2, 3, 4, 5]
+        ds = LabeledDataset.from_vectors(np.array(x, float)[:, None], [0] * 5 + [1] * 5)
+        dm = distance_matrix(ds, MetricSpec.euclidean())
+        for count_by in ("rank", "distance"):
+            widths.clear()
+            config = KsgConfig(1, count_by=count_by)
+            got = NeighborTable(dm, ds.labels).ksg_counts(config)
+            want = [neighbor_count_C(dm, ds.labels, i, 1, count_by=count_by) for i in range(10)]
+            assert got.tolist() == want
+            assert got[0] == 6 and widths[:2] == [4, 8]
+
+    def test_too_few_usable_neighbors_message(self):
+        ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
+        msg = "point 0 has only 2 usable same-stimulus neighbors, need n_k = 3"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            neighbor_count_C(dm, ds.labels, 0, 3)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            NeighborTable(dm, ds.labels).ksg_counts(KsgConfig(3))
+        # within a subset the point is numbered as in the subsample
+        with pytest.raises(ValueError, match="^point 0 has only 1 usable"):
+            NeighborTable(dm, ds.labels).ksg_counts(KsgConfig(2), np.array([1, 2, 3, 4]))
+
+    def test_too_few_trials_message(self):
+        ds, dm = random_dataset(np.random.default_rng(16), n_s=2, n_t=3)
+        msg = "n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ksg_mi(ds, dm, KsgConfig(n_k=3))
