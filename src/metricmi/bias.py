@@ -115,15 +115,18 @@ def subsample_curve(
     """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
 
     The subsamples are ``subsample_draws(d, lambdas, repeats, seed)``, or
-    ``draws`` when given, so that curves of several configs can share one
-    set.  Kernel bandwidths given as a count are converted to the
-    equivalent fraction of the full dataset so the estimator keeps its
-    character as the subsample shrinks.  Kernel and KSG count every
+    ``draws``, the output of that call, so that curves of several configs
+    can share one set; ``draws`` excludes the other three.  Kernel
+    bandwidths given as a count are converted to the equivalent fraction of
+    the full dataset so the estimator keeps its character as the subsample
+    shrinks.  Kernel and KSG count every
     subsample in one NeighborTable of the full matrix, which gives the
     same bits as estimating each subsample on its own submatrix.
     """
     if draws is None:
         draws = subsample_draws(d, lambdas, repeats, seed)
+    elif (tuple(lambdas), repeats, seed) != (DEFAULT_LAMBDAS, DEFAULT_REPEATS, 0):
+        raise ValueError("give the subsamples as draws or as lambdas, repeats and seed")
 
     if isinstance(config, KernelConfig):
         if dm is None:

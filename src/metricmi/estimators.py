@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import VECTOR, LabeledDataset, MixedVariantError
-from .metrics import DistanceMatrix, neighbor_order
+from .metrics import DistanceMatrix
 
 _LN2 = math.log(2.0)
 
@@ -151,6 +151,11 @@ def _digamma_of_counts(counts: np.ndarray) -> np.ndarray:
     return table[inverse]
 
 
+def _check_point(dm: DistanceMatrix, i: int) -> None:
+    if not 0 <= i < dm.n_r:
+        raise IndexError(f"index {i} out of range for {dm.n_r} points")
+
+
 def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
     if dm.n_r != d.n_r:
         raise ValueError(
@@ -166,55 +171,41 @@ class NeighborTable:
     filtering keeps the relative order of equal distances, and every count is
     an integer: a count on a subset equals the count on its submatrix sorted
     afresh, bit for bit.  Counts read a prefix of K columns, K doubling up to
-    n_r for the rows it leaves short.  ``points`` limits the table to those
-    rows; counting within a subset needs every row.
+    n_r for the rows it leaves short.  A subset of None is every point.
     """
 
-    def __init__(self, dm: DistanceMatrix, labels: np.ndarray, points=None):
+    def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
         self._values, self._labels = dm.values, np.asarray(labels)
-        if points is None:
-            self._points = np.arange(dm.n_r)
-            self._orders = np.argsort(dm.values, axis=1, kind="stable")
-        else:
-            self._points = np.asarray(points, dtype=np.intp)
-            self._orders = np.array([neighbor_order(dm, int(i)) for i in self._points])
+        self._orders = np.argsort(dm.values, axis=1, kind="stable")
 
-    def _count(self, subset, need, width, count) -> np.ndarray:
+    def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
         # count(points, cols, member) -> (counts, found) on the order prefixes
-        # cols; a row is done once it has found `need`, which only a KSG count
-        # can fail to do at full width
-        n = self._values.shape[0]
+        # cols of the rows points; a row is done once it has found `need` or
+        # has been read in full
+        n = self._labels.size
+        subset = np.arange(n) if subset is None else subset
         member = np.zeros(n, dtype=bool)
-        member[slice(None) if subset is None else subset] = True
-        points = self._points if subset is None else subset
-        width = -(-2 * width * n // np.count_nonzero(member))
-        out = np.empty(points.size, dtype=np.int64)
-        todo = np.arange(points.size)
+        member[subset] = True
+        width = -(-2 * width * n // subset.size)
+        counts, found = np.empty((2, subset.size), dtype=np.int64)
+        todo = np.arange(subset.size)
         while todo.size:
             width = min(width, n)
-            rows = todo if subset is None else subset[todo]
-            counts, found = count(points[todo], self._orders[rows, :width], member)
-            done = found >= need
-            if width == n and not done.all():
-                k = int(np.argmin(done))
-                i = self._points[todo[k]] if subset is None else todo[k]
-                raise ValueError(
-                    f"point {i} has only {found[k]} usable same-stimulus "
-                    f"neighbors, need n_k = {need}"
-                )
-            out[todo[done]] = counts[done]
+            points = subset[todo]
+            c, f = count(points, self._orders[points, :width], member)
+            done = (f >= need) | (width == n)
+            counts[todo[done]], found[todo[done]] = c[done], f[done]
             todo = todo[~done]
             width *= 2
-        return out
+        return counts, found
 
     def kernel_counts(self, n_h: int, subset=None) -> np.ndarray:
-        """c_i: same-stimulus members among each point's n_h nearest members.
+        """c_i: same-stimulus members among each member's n_h nearest members.
 
-        The point itself is one of them; a row of fewer than n_h members
+        The point itself is one of them; a subset of fewer than n_h members
         counts them all.
         """
         labels = self._labels
-        members = self._values.shape[0] if subset is None else subset.size
 
         def count(points, cols, member):
             inside = member[cols]
@@ -222,17 +213,19 @@ class NeighborTable:
             same = inside & (labels[cols] == labels[points, None])
             return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
 
-        return self._count(subset, min(n_h, members), n_h, count)
+        return self._count(subset, n_h, n_h, count)[0]
 
-    def ksg_counts(self, config: KsgConfig, subset=None) -> np.ndarray:
-        """C_i: members within reach of each point's n_k-th same-stimulus member.
+    def ksg_counts(self, config: KsgConfig, subset=None) -> tuple[np.ndarray, np.ndarray]:
+        """(C, usable): each member's KSG count and its usable neighbors found.
 
-        The anchor is the n_k-th usable same-stimulus member (self excluded
-        unless ``config.include_self``).  By rank, C_i counts the members
-        other than self at or before it; by distance, the members no farther
-        than it, minus self.
+        C_i counts the members within reach of the anchor, the n_k-th usable
+        same-stimulus member (self excluded unless ``config.include_self``):
+        by rank, the members other than self at or before it; by distance,
+        the members no farther than it, minus self.  usable_i is below n_k
+        only where the subset holds fewer than n_k for point i, and there
+        C_i means nothing.
         """
-        labels, n_k = self._labels, config.n_k
+        labels, values, n_k = self._labels, self._values, config.n_k
 
         def count(points, cols, member):
             inside = member[cols]
@@ -244,9 +237,11 @@ class NeighborTable:
             if config.count_by == KSG_COUNT_BY_RANK:
                 upto = np.arange(cols.shape[1]) <= anchor[:, None]
                 return np.count_nonzero(others & upto, axis=1), run[:, -1]
-            reach = self._values[points, cols[np.arange(points.size), anchor]]
-            within = self._values[points][:, member] <= reach[:, None]
-            return np.count_nonzero(within, axis=1) - 1, run[:, -1]
+            reach = values[points, cols[np.arange(points.size), anchor]]
+            near = inside & (values[points[:, None], cols] <= reach[:, None])
+            # ties with the anchor may run past the prefix: read on
+            tied = (values[points, cols[:, -1]] <= reach) & (cols.shape[1] < member.size)
+            return np.count_nonzero(near, axis=1) - 1, np.where(tied, -1, run[:, -1])
 
         return self._count(subset, n_k, n_k * np.unique(labels).size, count)
 
@@ -261,7 +256,8 @@ def neighbor_count_c(
     """
     if not 1 <= n_h <= dm.n_r:
         raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
-    return int(NeighborTable(dm, labels, [i]).kernel_counts(n_h)[0])
+    _check_point(dm, i)
+    return int(NeighborTable(dm, labels).kernel_counts(n_h)[i])
 
 
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
@@ -309,7 +305,14 @@ def neighbor_count_C(
     and ties cannot double-count.
     """
     config = KsgConfig(n_k, include_self=include_self, count_by=count_by)
-    return int(NeighborTable(dm, labels, [i]).ksg_counts(config)[0])
+    _check_point(dm, i)
+    counts, usable = NeighborTable(dm, labels).ksg_counts(config)
+    if usable[i] < n_k:
+        raise ValueError(
+            f"point {i} has only {usable[i]} usable same-stimulus "
+            f"neighbors, need n_k = {n_k}"
+        )
+    return int(counts[i])
 
 
 def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float:
@@ -324,9 +327,11 @@ def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float
             f"n_k = {config.n_k} needs at least {needed} trials per stimulus, "
             f"dataset has n_t = {n_t}"
         )
+    # balanced with n_t >= needed, every point has n_k usable neighbors.
     # psi(n_k) is folded into the per-point terms so that the degenerate
     # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
-    delta = _digamma_of_counts(table.ksg_counts(config, subset)) - digamma(config.n_k)
+    counts, _ = table.ksg_counts(config, subset)
+    delta = _digamma_of_counts(counts) - digamma(config.n_k)
     nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
     return nats / _LN2
 

@@ -177,6 +177,8 @@ class TestSubsampleCurve:
         for cfg in (KernelConfig(n_h=10), KsgConfig(n_k=1), HistogramConfig(width=0.7)):
             own = subsample_curve(ds, dm, cfg, lambdas=(0.3, 0.6, 1.0), repeats=4, seed=5)
             assert subsample_curve(ds, dm, cfg, draws=draws) == own
+        with pytest.raises(ValueError, match="^give the subsamples as draws or as"):
+            subsample_curve(ds, dm, KsgConfig(n_k=1), lambdas=(0.3, 1.0), draws=draws)
 
     def test_count_bandwidth_scales_exactly(self):
         # n_h = n_t on n_r = n_s * n_t must resolve to the subsample's trial

@@ -429,13 +429,14 @@ class TestNeighborTable:
         sub, sub_labels = dm.values[np.ix_(subset, subset)], labels[subset]
         want = [fresh_ksg_count(sub, sub_labels, k, n_k, include_self, count_by)
                 for k in range(subset.size)]
-        table = NeighborTable(dm, labels)
-        if None in want:
-            k = want.index(None)
-            with pytest.raises(ValueError, match=f"^point {k} has only "):
-                table.ksg_counts(config, subset)
-        else:
-            assert table.ksg_counts(config, subset).tolist() == want
+        got, usable = NeighborTable(dm, labels).ksg_counts(config, subset)
+        # a point short of usable neighbors reports how many it has
+        for k, count in enumerate(want):
+            if count is None:
+                same = np.count_nonzero(sub_labels == sub_labels[k])
+                assert usable[k] == same - (not include_self) < n_k
+            else:
+                assert usable[k] >= n_k and got[k] == count
 
     def test_kernel_prefix_widens_for_members_far_down_the_row(self, monkeypatch):
         # points 0..59 on a line; point 0's nearest members sit at 50..59, past
@@ -460,21 +461,42 @@ class TestNeighborTable:
         for count_by in ("rank", "distance"):
             widths.clear()
             config = KsgConfig(1, count_by=count_by)
-            got = NeighborTable(dm, ds.labels).ksg_counts(config)
+            got, _ = NeighborTable(dm, ds.labels).ksg_counts(config)
             want = [neighbor_count_C(dm, ds.labels, i, 1, count_by=count_by) for i in range(10)]
             assert got.tolist() == want
             assert got[0] == 6 and widths[:2] == [4, 8]
 
+    def test_ksg_prefix_widens_for_ties_with_the_anchor(self, monkeypatch):
+        # by distance, every point tying the anchor counts: point 0's anchor
+        # (point 1) lies at distance 1 and so do points 2..9, past the first
+        # prefix of 4 columns and the second of 8
+        widths = record_widths(monkeypatch)
+        dm = line_matrix([0] + [1] * 9)
+        labels = np.array([0, 0] + [1] * 8)
+        got, _ = NeighborTable(dm, labels).ksg_counts(KsgConfig(1, count_by="distance"))
+        want = [fresh_ksg_count(dm.values, labels, k, 1, False, "distance") for k in range(10)]
+        assert got.tolist() == want and got[0] == 9
+        assert widths == [4, 8, 10]
+
     def test_too_few_usable_neighbors_message(self):
         ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
-        msg = "point 0 has only 2 usable same-stimulus neighbors, need n_k = 3"
+        msg = "point 4 has only 2 usable same-stimulus neighbors, need n_k = 3"
         with pytest.raises(ValueError, match=f"^{msg}$"):
-            neighbor_count_C(dm, ds.labels, 0, 3)
-        with pytest.raises(ValueError, match=f"^{msg}$"):
-            NeighborTable(dm, ds.labels).ksg_counts(KsgConfig(3))
-        # within a subset the point is numbered as in the subsample
-        with pytest.raises(ValueError, match="^point 0 has only 1 usable"):
-            NeighborTable(dm, ds.labels).ksg_counts(KsgConfig(2), np.array([1, 2, 3, 4]))
+            neighbor_count_C(dm, ds.labels, 4, 3)
+
+    def test_point_out_of_range(self):
+        dm = line_matrix([0, 1, 2])
+        for i in (-1, 3):
+            with pytest.raises(IndexError, match=f"^index {i} out of range for 3 points$"):
+                neighbor_count_c(dm, np.array([0, 0, 1]), i, 1)
+            with pytest.raises(IndexError, match=f"^index {i} out of range for 3 points$"):
+                neighbor_count_C(dm, np.array([0, 0, 1]), i, 1)
+
+    def test_short_rows_elsewhere_do_not_stop_a_count(self):
+        # stimulus 1 has one point, so it has no usable neighbor for n_k = 1;
+        # point 0's count does not depend on it
+        dm = line_matrix([0, 1, 2])
+        assert neighbor_count_C(dm, np.array([0, 0, 1]), 0, 1) == 1
 
     def test_too_few_trials_message(self):
         ds, dm = random_dataset(np.random.default_rng(16), n_s=2, n_t=3)

@@ -3,10 +3,11 @@
     git archive <parent-commit> | tar -x -C /path/to/parent
     python3 tools/bench_pair.py --parent /path/to/parent --out BENCH_<n>.json
 
-For every workload of ``BENCHMARK.json`` and every seed (default 10-19, seeds
-not used while writing a change), ``perfbench/run.py`` runs once from each
-checkout, each from its own ``src/``; which side goes first alternates from
-seed to seed, so a slow spell of the shared machine does not always land on
+For every workload of ``BENCHMARK.json`` and every seed 10-19 (seeds not used
+while writing a change), ``perfbench/run.py`` runs once from the parent
+checkout and once from this one, each from its own ``src/`` and for the
+``run_seconds`` that ``BENCHMARK.json`` sets; which side goes first alternates
+from seed to seed, so a slow spell of the shared machine does not always land on
 the same side.  The output file holds, per workload and side, the median and
 quartiles of each end-to-end metric, the op counts (``peak_rss_mb`` is a
 process maximum after a fixed-time loop, so it grows with the number of ops
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = list(range(10, 20))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -74,13 +76,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def write_summary(out: Path, runs: list[dict], spec: dict, seeds: list[int],
-                  seconds: float, workloads: list[str]) -> None:
+def write_summary(out: Path, runs: list[dict], spec: dict, workloads: list[str]) -> None:
     doc = {
-        "command": (f"python3 tools/bench_pair.py --parent <parent checkout> "
-                    f"--seeds {seeds[0]}-{seeds[-1]} --seconds {seconds:g}"),
-        "seeds": seeds,
-        "seconds": seconds,
+        "command": f"python3 tools/bench_pair.py --parent <parent checkout> --out {out.name}",
+        "seeds": SEEDS,
+        "seconds": spec["run_seconds"],
         "machine": {key: runs[0][key] for key in ("cores", "python", "numpy", "scipy")},
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "quartiles": "statistics.quantiles(n=4), exclusive method",
@@ -91,45 +91,29 @@ def write_summary(out: Path, runs: list[dict], spec: dict, seeds: list[int],
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
 
 
-def seed_list(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, default=ROOT,
-                        help="changed checkout (default: this one)")
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("10-19"),
-                        help="seed range, e.g. 10-19")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed phase per run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated subset of the workloads")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="ascii"))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
 
     runs = []
     for workload in workloads:
-        for k, seed in enumerate(args.seeds):
+        for k, seed in enumerate(SEEDS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                result = run_once(sides[side], workload, seed, seconds)
+                result = run_once(sides[side], workload, seed, spec["run_seconds"])
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "ran": position, **result})
                 value = result["metrics"]["op_mean_ref"]
                 print(f"{workload} seed {seed} {side}: op_mean_ref {value:.3f}, "
                       f"{result['attempted']} ops, {result['failed']} failed", file=sys.stderr)
 
-    write_summary(args.out, runs, spec, args.seeds, seconds, workloads)
+    write_summary(args.out, runs, spec, workloads)
     return 0
 
 
