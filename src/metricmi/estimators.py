@@ -28,9 +28,6 @@ from .metrics import DistanceMatrix
 
 _LN2 = math.log(2.0)
 
-KSG_COUNT_BY_RANK = "rank"
-KSG_COUNT_BY_DISTANCE = "distance"
-
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -70,21 +67,15 @@ class KernelConfig:
 class KsgConfig:
     """Neighbor parameter for the digamma estimator.
 
-    ``include_self`` counts the center point as its own nearest same-stimulus
-    response; ``count_by`` switches between counting by global neighbor rank
-    (the default; immune to ties) and by raw distance threshold.  Defaults
-    match the convention used throughout this package.
+    C_i is counted by neighbor rank with the point itself excluded, so ties
+    in distance cannot double-count (see ``neighbor_count_C``).
     """
 
     n_k: int
-    include_self: bool = False
-    count_by: str = KSG_COUNT_BY_RANK
 
     def __post_init__(self):
         if self.n_k < 1:
             raise ValueError(f"n_k must be >= 1, got {self.n_k}")
-        if self.count_by not in (KSG_COUNT_BY_RANK, KSG_COUNT_BY_DISTANCE):
-            raise ValueError(f"unknown count_by mode {self.count_by!r}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,10 @@ class NeighborTable:
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
-        self._values, self._labels = dm.values, np.asarray(labels)
+        self._labels = np.asarray(labels)
+        if self._labels.shape != (dm.n_r,):
+            raise ValueError(f"labels of shape {self._labels.shape} do not match "
+                             f"the {dm.n_r}x{dm.n_r} distance matrix")
         self._orders = np.argsort(dm.values, axis=1, kind="stable")
 
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
@@ -215,33 +209,22 @@ class NeighborTable:
 
         return self._count(subset, n_h, n_h, count)[0]
 
-    def ksg_counts(self, config: KsgConfig, subset=None) -> tuple[np.ndarray, np.ndarray]:
+    def ksg_counts(self, n_k: int, subset=None) -> tuple[np.ndarray, np.ndarray]:
         """(C, usable): each member's KSG count and its usable neighbors found.
 
-        C_i counts the members within reach of the anchor, the n_k-th usable
-        same-stimulus member (self excluded unless ``config.include_self``):
-        by rank, the members other than self at or before it; by distance,
-        the members no farther than it, minus self.  usable_i is below n_k
+        C_i counts the members other than self at or before the anchor, the
+        n_k-th same-stimulus member other than self.  usable_i is below n_k
         only where the subset holds fewer than n_k for point i, and there
         C_i means nothing.
         """
-        labels, values, n_k = self._labels, self._values, config.n_k
+        labels = self._labels
 
         def count(points, cols, member):
-            inside = member[cols]
-            others = inside & (cols != points[:, None])
-            same = (inside if config.include_self else others) & (
-                labels[cols] == labels[points, None])
-            run = np.cumsum(same, axis=1)
+            others = member[cols] & (cols != points[:, None])
+            run = np.cumsum(others & (labels[cols] == labels[points, None]), axis=1)
             anchor = np.argmax(run >= n_k, axis=1)
-            if config.count_by == KSG_COUNT_BY_RANK:
-                upto = np.arange(cols.shape[1]) <= anchor[:, None]
-                return np.count_nonzero(others & upto, axis=1), run[:, -1]
-            reach = values[points, cols[np.arange(points.size), anchor]]
-            near = inside & (values[points[:, None], cols] <= reach[:, None])
-            # ties with the anchor may run past the prefix: read on
-            tied = (values[points, cols[:, -1]] <= reach) & (cols.shape[1] < member.size)
-            return np.count_nonzero(near, axis=1) - 1, np.where(tied, -1, run[:, -1])
+            upto = np.arange(cols.shape[1]) <= anchor[:, None]
+            return np.count_nonzero(others & upto, axis=1), run[:, -1]
 
         return self._count(subset, n_k, n_k * np.unique(labels).size, count)
 
@@ -288,25 +271,17 @@ def kernel_mi(
     return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
 
 
-def neighbor_count_C(
-    dm: DistanceMatrix,
-    labels: np.ndarray,
-    i: int,
-    n_k: int,
-    *,
-    include_self: bool = False,
-    count_by: str = KSG_COUNT_BY_RANK,
-) -> int:
+def neighbor_count_C(dm: DistanceMatrix, labels: np.ndarray, i: int, n_k: int) -> int:
     """Points of any stimulus within reach of i's n_k-th same-stimulus neighbor.
 
-    The n_k-th nearest same-stimulus response is located first (self excluded
-    by default); the count then covers every other point ranking at or before
-    it in the (distance, index) neighbor order, so the result is at least n_k
-    and ties cannot double-count.
+    The n_k-th nearest same-stimulus response other than i is located first;
+    the count then covers every other point ranking at or before it in the
+    (distance, index) neighbor order, so the result is at least n_k and ties
+    cannot double-count.
     """
-    config = KsgConfig(n_k, include_self=include_self, count_by=count_by)
+    KsgConfig(n_k)  # reuse the config's check of n_k
     _check_point(dm, i)
-    counts, usable = NeighborTable(dm, labels).ksg_counts(config)
+    counts, usable = NeighborTable(dm, labels).ksg_counts(n_k)
     if usable[i] < n_k:
         raise ValueError(
             f"point {i} has only {usable[i]} usable same-stimulus "
@@ -321,16 +296,15 @@ def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float
     ``table`` holds every row; the subset may be every point.
     """
     n_t = subset.size // n_s
-    needed = config.n_k if config.include_self else config.n_k + 1
-    if n_t < needed:
+    if n_t <= config.n_k:
         raise ValueError(
-            f"n_k = {config.n_k} needs at least {needed} trials per stimulus, "
+            f"n_k = {config.n_k} needs at least {config.n_k + 1} trials per stimulus, "
             f"dataset has n_t = {n_t}"
         )
-    # balanced with n_t >= needed, every point has n_k usable neighbors.
+    # balanced with n_t > n_k, every point has n_k usable neighbors.
     # psi(n_k) is folded into the per-point terms so that the degenerate
     # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
-    counts, _ = table.ksg_counts(config, subset)
+    counts, _ = table.ksg_counts(config.n_k, subset)
     delta = _digamma_of_counts(counts) - digamma(config.n_k)
     nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
     return nats / _LN2

@@ -80,19 +80,18 @@ class DistanceMatrix:
 
     __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray, *, validate: bool = True):
+    def __init__(self, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if validate:
-            if values.ndim != 2 or values.shape[0] != values.shape[1]:
-                raise ValueError(f"distance matrix must be square, got {values.shape}")
-            if not np.all(np.isfinite(values)):
-                raise ValueError("distances must be finite")
-            if np.any(values < 0):
-                raise ValueError("distances must be nonnegative")
-            if np.any(np.diagonal(values) != 0.0):
-                raise ValueError("self-distances must be exactly zero")
-            if not np.array_equal(values, values.T):
-                raise ValueError("distance matrix must be symmetric")
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"distance matrix must be square, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("distances must be finite")
+        if np.any(values < 0):
+            raise ValueError("distances must be nonnegative")
+        if np.any(np.diagonal(values) != 0.0):
+            raise ValueError("self-distances must be exactly zero")
+        if not np.array_equal(values, values.T):
+            raise ValueError("distance matrix must be symmetric")
         values.setflags(write=False)
         self.values = values
 
@@ -102,8 +101,7 @@ class DistanceMatrix:
 
     def submatrix(self, indices) -> "DistanceMatrix":
         indices = np.asarray(indices, dtype=np.intp)
-        sub = self.values[np.ix_(indices, indices)]
-        return DistanceMatrix(sub, validate=False)
+        return DistanceMatrix(self.values[np.ix_(indices, indices)])
 
 
 def euclidean_distance(a, b) -> float:

@@ -193,8 +193,6 @@ class _EvalTask:
     n_d: int
     n_t: int
     cand_seed: int
-    kernel_n_h: int | None
-    kernel_h: float | None
     widths: tuple
     lambdas: tuple
     repeats: int
@@ -221,7 +219,7 @@ def _probe_candidate(args) -> tuple[int, float, float]:
 def _evaluate_candidate(task: _EvalTask) -> dict:
     ds, _, _ = generate_toy(ToySpec(task.n_s, task.n_d, task.n_t, None, task.cand_seed))
     dm = distance_matrix(ds, MetricSpec.euclidean())
-    kcfg = KernelConfig(n_h=task.kernel_n_h, h=task.kernel_h)
+    kcfg = KernelConfig(n_h=task.n_t)
     kfit, kcurve = bias_corrected_mi(
         ds, dm, kcfg, lambdas=task.lambdas, repeats=task.repeats, seed=task.kernel_seed
     )
@@ -251,7 +249,6 @@ def run_benchmark(
     protocol: BenchmarkProtocol,
     seed: int = 0,
     *,
-    kernel_config: KernelConfig | None = None,
     widths=DEFAULT_WIDTHS,
     lambdas=DEFAULT_LAMBDAS,
     repeats: int = DEFAULT_REPEATS,
@@ -260,7 +257,7 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Generate datasets, compare estimators against the truth, aggregate errors.
 
-    The kernel estimator defaults to bandwidth n_h = n_t and is always
+    The kernel estimator uses bandwidth n_h = n_t and is always
     bias-corrected; the histogram baseline is bias-corrected the same way and
     swept over ``widths``, reporting the width that minimizes its mean
     absolute error for this protocol.  With pruning enabled, candidate
@@ -280,11 +277,12 @@ def run_benchmark(
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if kernel_config is None:
-        kernel_config = KernelConfig(n_h=protocol.n_t)
-    widths = tuple(float(w) for w in widths)
+    # building each width's config rejects a bad one before any probing
+    widths = tuple(HistogramConfig(width=float(w)).width for w in widths)
     if not widths:
         raise ValueError("need at least one histogram width")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     usable_lambdas = tuple(
         lam for lam in lambdas if math.floor(lam * protocol.n_t) >= 2
     )
@@ -350,8 +348,6 @@ def run_benchmark(
                 protocol.n_d,
                 protocol.n_t,
                 cand_seed,
-                kernel_config.n_h,
-                kernel_config.h,
                 widths,
                 usable_lambdas,
                 repeats,

@@ -1,6 +1,7 @@
 """Estimator correctness: worked examples, oracles, and structural properties."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -189,19 +190,12 @@ class TestNeighborCountBig:
         dm = distance_matrix(ds, MetricSpec.euclidean())
         assert neighbor_count_C(dm, ds.labels, 0, 1) == 2
 
-    def test_include_self_convention(self):
-        ds = LabeledDataset.from_vectors([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
-        dm = distance_matrix(ds, MetricSpec.euclidean())
-        # with self included, the second same-stimulus neighbor of A@0 is A@2
-        assert neighbor_count_C(dm, ds.labels, 0, 2, include_self=True) == 2
-
-    def test_count_by_distance_includes_ties_beyond_rank(self):
+    def test_count_by_rank_excludes_ties_beyond_anchor(self):
         # points at 0, 1, 1: the second point ties the anchor distance of the
         # first's nearest same-stimulus neighbor but ranks after it
         dm = DistanceMatrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         labels = np.array([0, 0, 1])
         assert neighbor_count_C(dm, labels, 0, 1) == 1
-        assert neighbor_count_C(dm, labels, 0, 1, count_by="distance") == 2
 
     def test_insufficient_neighbors(self):
         ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
@@ -234,7 +228,6 @@ class TestKsgMi:
         ds, dm = random_dataset(np.random.default_rng(16), n_s=2, n_t=3)
         with pytest.raises(ValueError):
             ksg_mi(ds, dm, KsgConfig(n_k=3))
-        ksg_mi(ds, dm, KsgConfig(n_k=3, include_self=True))  # relaxed by one
 
     def test_deterministic(self):
         ds, dm = random_dataset(np.random.default_rng(17), n_s=2, n_t=6, duplicates=True)
@@ -361,18 +354,14 @@ def fresh_kernel_counts(values, labels, n_h):
     return np.count_nonzero(labels[order[:, :n_h]] == labels[:, None], axis=1)
 
 
-def fresh_ksg_count(values, labels, k, n_k, include_self, count_by):
+def fresh_ksg_count(values, labels, k, n_k):
     """Oracle: C_k from a fresh stable sort of row k; None when too few neighbors."""
     order = np.argsort(values[k], kind="stable")
-    usable = labels[order] == labels[k]
-    if not include_self:
-        usable &= order != k
+    usable = (labels[order] == labels[k]) & (order != k)
     if np.count_nonzero(usable) < n_k:
         return None
     anchor = np.flatnonzero(usable)[n_k - 1]
-    if count_by == "rank":
-        return int(np.count_nonzero(order[: anchor + 1] != k))
-    return int(np.count_nonzero(values[k] <= values[k, order[anchor]])) - 1
+    return int(np.count_nonzero(order[: anchor + 1] != k))
 
 
 def line_matrix(x):
@@ -420,21 +409,18 @@ class TestNeighborTable:
         full = fresh_kernel_counts(dm.values, labels, n_h)
         assert np.array_equal(table.kernel_counts(n_h), full)
 
-    @given(tied_tables(), st.integers(1, 4), st.booleans(),
-           st.sampled_from(["rank", "distance"]))
+    @given(tied_tables(), st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
-    def test_ksg_counts_match_fresh_sort_of_submatrix(self, case, n_k, include_self, count_by):
+    def test_ksg_counts_match_fresh_sort_of_submatrix(self, case, n_k):
         dm, labels, subset = case
-        config = KsgConfig(n_k, include_self=include_self, count_by=count_by)
         sub, sub_labels = dm.values[np.ix_(subset, subset)], labels[subset]
-        want = [fresh_ksg_count(sub, sub_labels, k, n_k, include_self, count_by)
-                for k in range(subset.size)]
-        got, usable = NeighborTable(dm, labels).ksg_counts(config, subset)
+        want = [fresh_ksg_count(sub, sub_labels, k, n_k) for k in range(subset.size)]
+        got, usable = NeighborTable(dm, labels).ksg_counts(n_k, subset)
         # a point short of usable neighbors reports how many it has
         for k, count in enumerate(want):
             if count is None:
                 same = np.count_nonzero(sub_labels == sub_labels[k])
-                assert usable[k] == same - (not include_self) < n_k
+                assert usable[k] == same - 1 < n_k
             else:
                 assert usable[k] >= n_k and got[k] == count
 
@@ -458,25 +444,10 @@ class TestNeighborTable:
         x = [0, 100, 200, 300, 400, 1, 2, 3, 4, 5]
         ds = LabeledDataset.from_vectors(np.array(x, float)[:, None], [0] * 5 + [1] * 5)
         dm = distance_matrix(ds, MetricSpec.euclidean())
-        for count_by in ("rank", "distance"):
-            widths.clear()
-            config = KsgConfig(1, count_by=count_by)
-            got, _ = NeighborTable(dm, ds.labels).ksg_counts(config)
-            want = [neighbor_count_C(dm, ds.labels, i, 1, count_by=count_by) for i in range(10)]
-            assert got.tolist() == want
-            assert got[0] == 6 and widths[:2] == [4, 8]
-
-    def test_ksg_prefix_widens_for_ties_with_the_anchor(self, monkeypatch):
-        # by distance, every point tying the anchor counts: point 0's anchor
-        # (point 1) lies at distance 1 and so do points 2..9, past the first
-        # prefix of 4 columns and the second of 8
-        widths = record_widths(monkeypatch)
-        dm = line_matrix([0] + [1] * 9)
-        labels = np.array([0, 0] + [1] * 8)
-        got, _ = NeighborTable(dm, labels).ksg_counts(KsgConfig(1, count_by="distance"))
-        want = [fresh_ksg_count(dm.values, labels, k, 1, False, "distance") for k in range(10)]
-        assert got.tolist() == want and got[0] == 9
-        assert widths == [4, 8, 10]
+        got, _ = NeighborTable(dm, ds.labels).ksg_counts(1)
+        want = [neighbor_count_C(dm, ds.labels, i, 1) for i in range(10)]
+        assert got.tolist() == want
+        assert got[0] == 6 and widths[:2] == [4, 8]
 
     def test_too_few_usable_neighbors_message(self):
         ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
@@ -491,6 +462,15 @@ class TestNeighborTable:
                 neighbor_count_c(dm, np.array([0, 0, 1]), i, 1)
             with pytest.raises(IndexError, match=f"^index {i} out of range for 3 points$"):
                 neighbor_count_C(dm, np.array([0, 0, 1]), i, 1)
+
+    def test_labels_must_match_the_matrix(self):
+        # too few, too many and 2-d labels name both shapes, not a bad index
+        dm = line_matrix(np.arange(6))
+        for labels in (np.zeros(5, int), np.zeros(7, int), np.zeros((6, 1), int)):
+            msg = re.escape(f"labels of shape {labels.shape} do not match the 6x6 ")
+            for count in (neighbor_count_c, neighbor_count_C):
+                with pytest.raises(ValueError, match=f"^{msg}"):
+                    count(dm, labels, 0, 1)
 
     def test_short_rows_elsewhere_do_not_stop_a_count(self):
         # stimulus 1 has one point, so it has no usable neighbor for n_k = 1;

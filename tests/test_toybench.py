@@ -20,6 +20,8 @@ from metricmi import (
     run_benchmark,
     true_mi,
 )
+from metricmi import toybench
+from metricmi.cli import main
 
 
 def quadrature_mi_1d(sources, sigma2):
@@ -247,6 +249,26 @@ class TestRunBenchmark:
     def test_prune_needs_divisible_count(self):
         with pytest.raises(ValueError):
             BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=7)
+
+    @pytest.mark.parametrize(
+        "options, flags, msg",
+        [({"widths": (0.0, 1.0)}, ["--widths", "0,1"], "bin width must be finite and positive"),
+         ({"repeats": 0}, ["--repeats", "0"], "repeats must be >= 1")],
+        ids=["width", "repeats"],
+    )
+    def test_bad_options_fail_before_probing(
+        self, monkeypatch, capsys, tmp_path, options, flags, msg
+    ):
+        def probe(args):
+            raise AssertionError("probed a candidate despite a bad option")
+
+        monkeypatch.setattr(toybench, "_probe_candidate", probe)
+        protocol = BenchmarkProtocol(n_s=10, n_d=10, n_t=20, dataset_count=10)
+        with pytest.raises(ValueError, match=msg):
+            run_benchmark(protocol, mc_samples=2000, max_workers=1, **options)
+        code = main(["benchmark", "--ns", "10", "--nd", "10", "--nt", "20", "--datasets",
+                     "10", "--threads", "1", "--mc-samples", "2000", *flags, "-o", str(tmp_path)])
+        assert code == 1 and msg in capsys.readouterr().err
 
     def test_lambda_grid_validation(self):
         protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=6, prune=False)
