@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .data import VECTOR, LabeledDataset, MixedVariantError
 from .metrics import DistanceMatrix
@@ -102,44 +103,14 @@ class MiEstimate:
 
 
 def digamma(x: float) -> float:
-    """Digamma function for x > 0.
+    """Digamma function for x > 0, from ``scipy.special.digamma``.
 
-    Upward recurrence psi(x) = psi(x+1) - 1/x until x >= 6, then the
-    asymptotic series ln x - 1/(2x) - sum B_2n / (2n x^2n); accurate to
-    about 1e-13 for x >= 1, far below any estimator's sampling noise.
+    Within 1e-15 of mpmath at the integers 1..1000.
     """
     x = float(x)
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2
-        * (
-            1.0 / 120.0
-            - inv2
-            * (
-                1.0 / 252.0
-                - inv2
-                * (
-                    1.0 / 240.0
-                    - inv2
-                    * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - series
-
-
-def _digamma_of_counts(counts: np.ndarray) -> np.ndarray:
-    uniq, inverse = np.unique(counts, return_inverse=True)
-    table = np.array([digamma(float(u)) for u in uniq], dtype=np.float64)
-    return table[inverse]
+    return float(special.digamma(x))
 
 
 def _check_point(dm: DistanceMatrix, i: int) -> None:
@@ -305,7 +276,7 @@ def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float
     # psi(n_k) is folded into the per-point terms so that the degenerate
     # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
     counts, _ = table.ksg_counts(config.n_k, subset)
-    delta = _digamma_of_counts(counts) - digamma(config.n_k)
+    delta = special.digamma(counts) - digamma(config.n_k)
     nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
     return nats / _LN2
 

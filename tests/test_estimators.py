@@ -71,7 +71,7 @@ class TestDigamma:
             assert abs(digamma(x) - (math.log(x) - 0.5 / x)) <= 1e-4
 
     def test_rejects_nonpositive(self):
-        for x in (0.0, -1.0):
+        for x in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 digamma(x)
 
@@ -248,6 +248,20 @@ class TestKsgMi:
         assert ksg_mi(ds, dm, KsgConfig(n_k=n_k)).bits == pytest.approx(
             nats / math.log(2), abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("n_s, n_t, n_k", [(3, 20, 3), (4, 15, 2), (5, 30, 5), (3, 8, 6)])
+    def test_matches_high_precision_formula(self, n_s, n_t, n_k):
+        # the same counts through a 40-digit digamma: what remains is the
+        # rounding of float64 arithmetic, not of the digamma evaluation
+        rng = np.random.default_rng(19)
+        ds, dm = random_dataset(rng, n_s=n_s, n_t=n_t, duplicates=True)
+        counts = [neighbor_count_C(dm, ds.labels, i, n_k) for i in range(ds.n_r)]
+        with mpmath.workdps(40):
+            psi = mpmath.digamma
+            mean = mpmath.fsum(psi(c) - psi(n_k) for c in counts) / ds.n_r
+            want = (psi(ds.n_r) - psi(n_t) - mean) / mpmath.log(2)
+        assert abs(ksg_mi(ds, dm, KsgConfig(n_k=n_k)).bits - float(want)) <= 1e-14
 
 
 class TestRankInvariance:
