@@ -172,12 +172,13 @@ _VR_BLOCK = 1 << 14
 
 
 def _vr_kernel_sums(a: np.ndarray, spikes: np.ndarray, sizes: np.ndarray,
-                    tau: float) -> np.ndarray:
+                    tau: float, flip: np.ndarray) -> np.ndarray:
     """sum_kl exp(-|a_k - b_l| / tau) for each train b, the trains laid end to end in ``spikes``.
 
     The exponentials are evaluated against many trains at once; each train's
-    block is then summed as its own contiguous (len(a), len(b)) array, the
-    reduction a lone pair gets, so the sums are reproducible pair by pair.
+    block is then summed as its own contiguous (len(a), len(b)) array, or as
+    the (len(b), len(a)) transpose where ``flip`` is set: the reduction a lone
+    pair gets, so the sums are reproducible pair by pair.
     """
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -195,7 +196,8 @@ def _vr_kernel_sums(a: np.ndarray, spikes: np.ndarray, sizes: np.ndarray,
         for k in range(lo, hi):
             # numpy 2.4 sums the strided view the same way, but only the
             # contiguous copy is sure to take the lone pair's reduction path
-            sums[k] = np.sum(np.ascontiguousarray(e[:, starts[k] - base : ends[k] - base]))
+            block = e[:, starts[k] - base : ends[k] - base]
+            sums[k] = np.sum(np.ascontiguousarray(block.T if flip[k] else block))
     return sums
 
 
@@ -204,10 +206,16 @@ def _vr_upper_rows(trains, tau: float):
     sizes = np.array([t.size for t in trains], dtype=np.intp)
     spikes = np.concatenate(trains)
     ends = np.cumsum(sizes)
-    selfs = np.array([_vr_kernel_sums(t, t, sizes[k : k + 1], tau)[0]
+    # The order of a sum changes its last bits, and near-equal trains cancel
+    # those bits up into the distance; so each cross sum is taken with the
+    # lexicographically smaller train's spikes first, whichever is passed
+    # first, which makes the distance exactly symmetric.
+    keys = [(t.size, t.tolist()) for t in trains]
+    selfs = np.array([_vr_kernel_sums(t, t, sizes[k : k + 1], tau, [False])[0]
                       for k, t in enumerate(trains)])
     for i, a in enumerate(trains):
-        cross = _vr_kernel_sums(a, spikes[ends[i] :], sizes[i + 1 :], tau)
+        flip = [key < keys[i] for key in keys[i + 1 :]]
+        cross = _vr_kernel_sums(a, spikes[ends[i] :], sizes[i + 1 :], tau, flip)
         d2 = 0.5 * (selfs[i] + selfs[i + 1 :] - 2.0 * cross)
         yield np.sqrt(np.maximum(d2, 0.0))
 

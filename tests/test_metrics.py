@@ -86,7 +86,9 @@ def vr_pair(a, b, tau):
             return 0.0
         return float(np.sum(np.exp(-np.abs(x[:, None] - y[None, :]) / tau)))
 
-    d2 = 0.5 * (kernel_sum(a, a) + kernel_sum(b, b) - 2.0 * kernel_sum(a, b))
+    # the cross sum with the lexicographically smaller train first
+    lo, hi = sorted([a, b], key=lambda t: (t.size, t.tolist()))
+    d2 = 0.5 * (kernel_sum(a, a) + kernel_sum(b, b) - 2.0 * kernel_sum(lo, hi))
     return math.sqrt(max(d2, 0.0))
 
 
