@@ -25,6 +25,7 @@ from .estimators import (
     HistogramConfig,
     KernelConfig,
     KsgConfig,
+    NeighborTable,
     histogram_mi,
     kernel_mi,
     ksg_mi,
@@ -204,15 +205,14 @@ def _estimate(args, parser, dataset) -> dict:
             parser.error("--histogram requires --bin-width")
         config = HistogramConfig(width=args.bin_width, origin=args.origin)
         estimate = histogram_mi(dataset, config)
-        dm = None
+        dm = table = None
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
-        dm = distance_matrix(dataset, metric)
         if args.ksg:
             if args.nk is None:
                 parser.error("--ksg requires --nk")
             config = KsgConfig(n_k=args.nk)
-            estimate = ksg_mi(dataset, dm, config)
+            estimator = ksg_mi
         else:
             if args.nh is not None and args.h_frac is not None:
                 parser.error("give at most one of --nh and --h-frac")
@@ -222,7 +222,11 @@ def _estimate(args, parser, dataset) -> dict:
                 config = KernelConfig(h=args.h_frac)
             else:
                 config = KernelConfig(n_h=dataset.n_t)
-            estimate = kernel_mi(dataset, dm, config)
+            estimator = kernel_mi
+        dm = distance_matrix(dataset, metric)
+        # one sort serves the estimate and, with --bias-correct, its curve
+        table = NeighborTable(dm, dataset.labels)
+        estimate = estimator(dataset, dm, config, table=table)
 
     out = {"estimator": estimate.estimator, "config": estimate.config,
            "bits": estimate.bits}
@@ -232,7 +236,7 @@ def _estimate(args, parser, dataset) -> dict:
             lambdas = [l for l in DEFAULT_LAMBDAS if math.floor(l * dataset.n_t) >= 2]
         fit, curve = bias_corrected_mi(
             dataset, dm, config,
-            lambdas=lambdas, repeats=args.repeats, seed=args.seed,
+            lambdas=lambdas, repeats=args.repeats, seed=args.seed, table=table,
         )
         out["curve"] = [[size, bits] for size, bits in curve]
         out["intercept_bits"] = fit.intercept_bits

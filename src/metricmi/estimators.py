@@ -225,7 +225,7 @@ def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
 
 
 def kernel_mi(
-    d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig
+    d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig, *, table=None
 ) -> MiEstimate:
     """Square-kernel MI estimate: mean over points of log2(n_s * c_i / n_h).
 
@@ -233,11 +233,14 @@ def kernel_mi(
     point i (itself included), so the log argument never vanishes.  With
     n_h <= n_t the estimate lies in [log2(n_s / n_h), log2(n_s)], reaching
     the upper end exactly when each stimulus's responses are mutually
-    nearest.
+    nearest.  ``table``, a NeighborTable of every row of ``dm``, saves
+    sorting the matrix again.
     """
     _check_inputs(d, dm)
     n_h = config.resolve(d.n_r)
-    c = NeighborTable(dm, d.labels).kernel_counts(n_h)
+    if table is None:
+        table = NeighborTable(dm, d.labels)
+    c = table.kernel_counts(n_h)
     bits = kernel_bits_from_counts(c, d.n_s, n_h)
     return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi, subsample_draws
 from .data import LabeledDataset, derived_seed, format_float
@@ -67,6 +66,16 @@ class ToySpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
+def _draw_model(spec: ToySpec) -> tuple[np.ndarray, float]:
+    """The model stream of ``generate_toy``: (sources, sigma2), no points."""
+    rng_model = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
+    sources = rng_model.uniform(-0.5, 0.5, size=(spec.n_s, spec.n_d))
+    sigma2 = spec.sigma2
+    if sigma2 is None:
+        sigma2 = float(rng_model.uniform(0.0, 1.0))
+    return sources, sigma2
+
+
 def generate_toy(spec: ToySpec) -> tuple[LabeledDataset, np.ndarray, float]:
     """Draw a toy dataset: returns (dataset, sources, sigma2).
 
@@ -76,11 +85,7 @@ def generate_toy(spec: ToySpec) -> tuple[LabeledDataset, np.ndarray, float]:
     stream draws sources before sigma2, so a recorded (seed, sigma2) pair
     regenerates the identical dataset whether or not sigma2 is pinned.
     """
-    rng_model = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    sources = rng_model.uniform(-0.5, 0.5, size=(spec.n_s, spec.n_d))
-    sigma2 = spec.sigma2
-    if sigma2 is None:
-        sigma2 = float(rng_model.uniform(0.0, 1.0))
+    sources, sigma2 = _draw_model(spec)
     rng_points = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
     noise = rng_points.standard_normal((spec.n_s, spec.n_t, spec.n_d))
     points = (sources[:, None, :] + math.sqrt(sigma2) * noise).reshape(
@@ -88,6 +93,19 @@ def generate_toy(spec: ToySpec) -> tuple[LabeledDataset, np.ndarray, float]:
     )
     labels = np.repeat(np.arange(spec.n_s), spec.n_t)
     return LabeledDataset.from_vectors(points, labels), sources, sigma2
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    # scipy.special.logsumexp(a, axis=1) (scipy 1.17.1) step for step, so
+    # bitwise equal for finite a, without its array-API dispatch, which took
+    # about a third of a 2000-sample true_mi: entries at the row max are
+    # counted as m and left out of the sum s, which is then scaled by 1/m
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def true_mi(
@@ -118,7 +136,7 @@ def true_mi(
     )
     # the shared Gaussian normalization cancels between numerator and mixture
     loglik = -cdist(responses, sources, "sqeuclidean") / (2.0 * sigma2)
-    log_mixture = logsumexp(loglik, axis=1) - math.log(n_s)
+    log_mixture = _logsumexp_rows(loglik) - math.log(n_s)
     picked = loglik[np.arange(mc_samples), which]
     return float(np.mean(picked - log_mixture)) / _LN2
 
@@ -211,7 +229,7 @@ def _probe_candidate(args) -> tuple[int, float, float]:
     """Candidate (cand_seed, sigma2, true_bits) for one pruning attempt."""
     base_seed, idx, n_s, n_d, n_t, mc_samples = args
     cand_seed = derived_seed(base_seed, idx, 0)
-    _, sources, sigma2 = generate_toy(ToySpec(n_s, n_d, n_t, None, cand_seed))
+    sources, sigma2 = _draw_model(ToySpec(n_s, n_d, n_t, None, cand_seed))
     tm = true_mi(sources, sigma2, mc_samples, derived_seed(base_seed, idx, 1))
     return cand_seed, sigma2, tm
 
@@ -272,6 +290,10 @@ def run_benchmark(
     acceptances in runs that fill every bin, so those runs, and their
     ``attempts``, are unchanged by it.
 
+    With one worker the run computes exactly ``attempts`` true MIs, each
+    when pruning reaches its candidate.  A pool probes in chunks of 256, so
+    up to 255 more can come from the last chunk, computed and never read.
+
     The result is independent of ``max_workers``: every dataset consumes only
     its own derived substreams and results are merged in dataset order.
     """
@@ -305,7 +327,9 @@ def run_benchmark(
     give_up = min(max_attempts, stall_limit)  # attempt count at which probing stops
     accepted = []  # (attempt index, cand_seed, sigma2, true_bits)
     attempts = 0
-    chunk = 256
+    # one worker probes each candidate only when the loop reaches it; a pool
+    # probes in chunks that pay for the parallelism
+    chunk = 1 if pool is None else 256
     try:
         while len(accepted) < protocol.dataset_count and attempts < give_up:
             hi = min(attempts + chunk, give_up)

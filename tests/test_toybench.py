@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from metricmi import (
     BenchmarkProtocol,
@@ -47,6 +49,33 @@ def quadrature_mi_1d(sources, sigma2):
     return total
 
 
+def scipy_true_mi(sources, sigma2, mc_samples, seed):
+    """true_mi as written before its log-mixture left scipy: the bitwise oracle."""
+    sources = np.asarray(sources, dtype=np.float64)
+    n_s = sources.shape[0]
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, n_s, size=mc_samples)
+    responses = sources[which] + math.sqrt(sigma2) * rng.standard_normal(
+        (mc_samples, sources.shape[1])
+    )
+    loglik = -cdist(responses, sources, "sqeuclidean") / (2.0 * sigma2)
+    log_mixture = logsumexp(loglik, axis=1) - math.log(n_s)
+    picked = loglik[np.arange(mc_samples), which]
+    return float(np.mean(picked - log_mixture)) / math.log(2.0)
+
+
+def count_truths(monkeypatch) -> list:
+    """Wrap toybench.true_mi; the returned list grows by one per call."""
+    calls, real = [], toybench.true_mi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toybench, "true_mi", counting)
+    return calls
+
+
 class TestToySpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -85,6 +114,15 @@ class TestGenerateToy:
         drawn, _, sigma2 = generate_toy(ToySpec(3, 2, 5, seed=4))
         pinned, _, _ = generate_toy(ToySpec(3, 2, 5, sigma2=sigma2, seed=4))
         assert drawn == pinned
+
+    def test_model_draw_matches_generator(self):
+        # truth probes draw only the model stream, which must be generate_toy's
+        for seed in (0, 1, 7, 123):
+            for pinned in (None, 0.25):
+                spec = ToySpec(6, 3, 4, sigma2=pinned, seed=seed)
+                _, sources, sigma2 = generate_toy(spec)
+                drawn_sources, drawn_sigma2 = toybench._draw_model(spec)
+                assert np.array_equal(drawn_sources, sources) and drawn_sigma2 == sigma2
 
     def test_near_zero_variance_gives_separated_clusters(self):
         ds, _, _ = generate_toy(ToySpec(5, 3, 6, sigma2=1e-12, seed=2))
@@ -134,6 +172,24 @@ class TestTrueMi:
         small, large = spread(500), spread(8000)
         # fourfold sample count should shave the standard error by about half
         assert large < 0.6 * small
+
+    @pytest.mark.parametrize(
+        "sources, sigma2",
+        [(np.random.default_rng(1).uniform(-0.5, 0.5, (1, 3)), 0.4),
+         (np.random.default_rng(2).uniform(-0.5, 0.5, (2, 1)), 0.07),
+         (np.random.default_rng(3).uniform(-0.5, 0.5, (10, 3)), 0.6),
+         (np.random.default_rng(4).uniform(-0.5, 0.5, (10, 10)), 0.02),
+         # every source twice: each row max is reached by two entries (m = 2)
+         (np.repeat(np.random.default_rng(5).uniform(-0.5, 0.5, (5, 2)), 2, axis=0), 0.3),
+         # just above SIGMA2_DEGENERATE: log-likelihoods near -1e9
+         (np.random.default_rng(6).uniform(-0.5, 0.5, (10, 3)), 1e-9)],
+        ids=["ns1", "ns2", "ns10", "ns10-nd10", "tied-max", "sigma2-1e-9"],
+    )
+    def test_matches_scipy_logsumexp_bitwise(self, sources, sigma2):
+        for seed in (0, 11):
+            assert true_mi(sources, sigma2, 2000, seed) == scipy_true_mi(
+                sources, sigma2, 2000, seed
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,10 +283,20 @@ class TestRunBenchmark:
         assert res.summary["attempts"] == 6
         assert len(res.records) == 6
 
-    def test_unreachable_bin_stops_early(self):
+    def test_one_worker_computes_exactly_attempts_truths(self, monkeypatch):
+        calls = count_truths(monkeypatch)
+        protocol = BenchmarkProtocol(n_s=4, n_d=2, n_t=10, dataset_count=10)
+        res = run_benchmark(
+            protocol, seed=3, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1
+        )
+        assert res.summary["shortfall"] == 0
+        assert len(calls) == res.summary["attempts"] > 10
+
+    def test_unreachable_bin_stops_early(self, monkeypatch):
         # at n_s=10, n_d=10 no sigma2 <= 1 brings normalized MI below 0.1, so
         # bin 0 never fills; probing gives up 200 x dataset_count attempts
         # after the last acceptance instead of running to the 10 000 cap
+        calls = count_truths(monkeypatch)
         protocol = BenchmarkProtocol(n_s=10, n_d=10, n_t=10, dataset_count=10)
         with pytest.warns(UserWarning, match="filled only 9 of 10"):
             res = run_benchmark(
@@ -245,6 +311,7 @@ class TestRunBenchmark:
             i for i in range(s["attempts"]) if derived_seed(0, i, 0) == res.records[-1].seed
         )
         assert s["attempts"] == last + 1 + 200 * protocol.dataset_count < 10_000
+        assert len(calls) == s["attempts"]
 
     def test_prune_needs_divisible_count(self):
         with pytest.raises(ValueError):
