@@ -111,7 +111,6 @@ def subsample_curve(
     seed: int = 0,
     *,
     draws=None,
-    table=None,
 ) -> list[tuple[int, float]]:
     """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
 
@@ -122,8 +121,8 @@ def subsample_curve(
     the full dataset so the estimator keeps its character as the subsample
     shrinks.  Kernel and KSG count every
     subsample in one NeighborTable of the full matrix, which gives the
-    same bits as estimating each subsample on its own submatrix; ``table``,
-    that NeighborTable if the caller already has it, saves sorting again.
+    same bits as estimating each subsample on its own submatrix; the table
+    reads the matrix's ``order``, sorted once per matrix.
     """
     if draws is None:
         draws = subsample_draws(d, lambdas, repeats, seed)
@@ -133,8 +132,7 @@ def subsample_curve(
     if isinstance(config, KernelConfig):
         if dm is None:
             raise ValueError("kernel estimation needs a distance matrix")
-        if table is None:
-            table = NeighborTable(dm, d.labels)
+        table = NeighborTable(dm, d.labels)
 
         def estimate(subset: np.ndarray) -> float:
             n_h = _sub_bandwidth(config, d.n_r, subset.size)
@@ -151,12 +149,11 @@ def subsample_curve(
     elif isinstance(config, KsgConfig):
         if dm is None:
             raise ValueError("ksg estimation needs a distance matrix")
-        if table is None:
-            table = NeighborTable(dm, d.labels)
+        table = NeighborTable(dm, d.labels)
 
         def estimate(subset: np.ndarray) -> float:
             if subset.size == d.n_r:
-                return ksg_mi(d, dm, config, table=table).bits
+                return ksg_mi(d, dm, config).bits
             return ksg_bits(table, config, d.n_s, subset)
 
     else:
@@ -224,11 +221,9 @@ def bias_corrected_mi(
     seed: int = 0,
     *,
     draws=None,
-    table=None,
 ) -> tuple[BiasFit, list[tuple[int, float]]]:
     """Subsample curve plus its quadratic fit; intercept is the corrected MI."""
     curve = subsample_curve(
-        d, dm, config, lambdas=lambdas, repeats=repeats, seed=seed, draws=draws,
-        table=table,
+        d, dm, config, lambdas=lambdas, repeats=repeats, seed=seed, draws=draws
     )
     return quadratic_extrapolate(curve), curve

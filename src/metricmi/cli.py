@@ -25,7 +25,6 @@ from .estimators import (
     HistogramConfig,
     KernelConfig,
     KsgConfig,
-    NeighborTable,
     histogram_mi,
     kernel_mi,
     ksg_mi,
@@ -205,7 +204,7 @@ def _estimate(args, parser, dataset) -> dict:
             parser.error("--histogram requires --bin-width")
         config = HistogramConfig(width=args.bin_width, origin=args.origin)
         estimate = histogram_mi(dataset, config)
-        dm = table = None
+        dm = None
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
         if args.ksg:
@@ -224,9 +223,7 @@ def _estimate(args, parser, dataset) -> dict:
                 config = KernelConfig(n_h=dataset.n_t)
             estimator = kernel_mi
         dm = distance_matrix(dataset, metric)
-        # one sort serves the estimate and, with --bias-correct, its curve
-        table = NeighborTable(dm, dataset.labels)
-        estimate = estimator(dataset, dm, config, table=table)
+        estimate = estimator(dataset, dm, config)
 
     out = {"estimator": estimate.estimator, "config": estimate.config,
            "bits": estimate.bits}
@@ -235,8 +232,7 @@ def _estimate(args, parser, dataset) -> dict:
         if lambdas is None:
             lambdas = [l for l in DEFAULT_LAMBDAS if math.floor(l * dataset.n_t) >= 2]
         fit, curve = bias_corrected_mi(
-            dataset, dm, config,
-            lambdas=lambdas, repeats=args.repeats, seed=args.seed, table=table,
+            dataset, dm, config, lambdas=lambdas, repeats=args.repeats, seed=args.seed
         )
         out["curve"] = [[size, bits] for size, bits in curve]
         out["intercept_bits"] = fit.intercept_bits

@@ -312,13 +312,8 @@ def load_dataset(path, format: str) -> LabeledDataset:
     raise ValueError(f"unknown dataset format {format!r}")
 
 
-def save_dataset(d: LabeledDataset, path, format: str | None = None) -> None:
+def save_dataset(d: LabeledDataset, path) -> None:
     """Write a dataset in its native format (17 significant digits, exact round-trip)."""
-    native = FORMAT_CSV_VECTORS if d.kind == VECTOR else FORMAT_SPIKE_TEXT
-    if format is not None and format != native:
-        raise MixedVariantError(
-            f"dataset kind {d.kind!r} cannot be written as {format!r}"
-        )
     with open(path, "w", encoding="ascii") as fh:
         if d.kind == VECTOR:
             for label, row in zip(d.labels, d.vectors):

@@ -128,8 +128,9 @@ def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
 class NeighborTable:
     """Each point's neighbors in (distance, index) order, counted within a subset.
 
-    The order is one stable sort of each row of the distance matrix.  An
-    ascending subset's own order is that order filtered to its members, since
+    The order is the matrix's own ``DistanceMatrix.order``: one stable sort of
+    each row, done when the first table on a matrix reads it.  An ascending
+    subset's own order is that order filtered to its members, since
     filtering keeps the relative order of equal distances, and every count is
     an integer: a count on a subset equals the count on its submatrix sorted
     afresh, bit for bit.  Counts read a prefix of K columns, K doubling up to
@@ -141,7 +142,7 @@ class NeighborTable:
         if self._labels.shape != (dm.n_r,):
             raise ValueError(f"labels of shape {self._labels.shape} do not match "
                              f"the {dm.n_r}x{dm.n_r} distance matrix")
-        self._orders = np.argsort(dm.values, axis=1, kind="stable")
+        self._orders = dm.order
 
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
         # count(points, cols, member) -> (counts, found) on the order prefixes
@@ -206,7 +207,7 @@ def neighbor_count_c(
     """Number of same-stimulus points among the n_h nearest to point i.
 
     The point itself is one of its own neighbors, so the count is always in
-    [1, min(n_h, trials per stimulus)].
+    [1, min(n_h, trials per stimulus)].  Only the first call on a matrix sorts it.
     """
     if not 1 <= n_h <= dm.n_r:
         raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
@@ -224,23 +225,18 @@ def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
     return math.log2(n_s) + float(np.mean(np.log2(c / n_h)))
 
 
-def kernel_mi(
-    d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig, *, table=None
-) -> MiEstimate:
+def kernel_mi(d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig) -> MiEstimate:
     """Square-kernel MI estimate: mean over points of log2(n_s * c_i / n_h).
 
     c_i counts same-stimulus responses among the n_h nearest neighbors of
     point i (itself included), so the log argument never vanishes.  With
     n_h <= n_t the estimate lies in [log2(n_s / n_h), log2(n_s)], reaching
     the upper end exactly when each stimulus's responses are mutually
-    nearest.  ``table``, a NeighborTable of every row of ``dm``, saves
-    sorting the matrix again.
+    nearest.
     """
     _check_inputs(d, dm)
     n_h = config.resolve(d.n_r)
-    if table is None:
-        table = NeighborTable(dm, d.labels)
-    c = table.kernel_counts(n_h)
+    c = NeighborTable(dm, d.labels).kernel_counts(n_h)
     bits = kernel_bits_from_counts(c, d.n_s, n_h)
     return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
 
@@ -251,7 +247,7 @@ def neighbor_count_C(dm: DistanceMatrix, labels: np.ndarray, i: int, n_k: int) -
     The n_k-th nearest same-stimulus response other than i is located first;
     the count then covers every other point ranking at or before it in the
     (distance, index) neighbor order, so the result is at least n_k and ties
-    cannot double-count.
+    cannot double-count.  Only the first call on a matrix sorts it.
     """
     KsgConfig(n_k)  # reuse the config's check of n_k
     _check_point(dm, i)
@@ -284,20 +280,15 @@ def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float
     return nats / _LN2
 
 
-def ksg_mi(
-    d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig, *, table=None
-) -> MiEstimate:
+def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstimate:
     """Digamma k-nearest-neighbor MI estimate, converted from nats to bits.
 
     I_e = psi(n_k) + psi(n_r) - psi(n_t) - mean_i psi(C_i), where C_i counts
     the points of any stimulus within reach of i's n_k-th nearest
-    same-stimulus response; bits = I_e / ln 2.  ``table``, a NeighborTable
-    of every row of ``dm``, saves sorting the matrix again.
+    same-stimulus response; bits = I_e / ln 2.
     """
     _check_inputs(d, dm)
-    if table is None:
-        table = NeighborTable(dm, d.labels)
-    bits = ksg_bits(table, config, d.n_s, np.arange(d.n_r))
+    bits = ksg_bits(NeighborTable(dm, d.labels), config, d.n_s, np.arange(d.n_r))
     return MiEstimate(bits, "ksg", {"n_k": config.n_k})
 
 

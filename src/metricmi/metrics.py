@@ -78,7 +78,7 @@ class DistanceMatrix:
     estimators see.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_order")
 
     def __init__(self, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -94,10 +94,23 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be symmetric")
         values.setflags(write=False)
         self.values = values
+        self._order = None
 
     @property
     def n_r(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def order(self) -> np.ndarray:
+        """Row i: every index in (distance to i, index) order; read-only int64.
+
+        One stable sort of each row, done on first read and kept with the matrix.
+        """
+        if self._order is None:
+            order = np.argsort(self.values, axis=1, kind="stable")
+            order.setflags(write=False)
+            self._order = order
+        return self._order
 
     def submatrix(self, indices) -> "DistanceMatrix":
         indices = np.asarray(indices, dtype=np.intp)
@@ -275,11 +288,12 @@ def neighbor_order(dm: DistanceMatrix, i: int) -> np.ndarray:
 
     Position 0 is i itself unless a duplicate point with a smaller index
     exists; the (distance, index) order makes every downstream count
-    deterministic even with tied or duplicated points.
+    deterministic even with tied or duplicated points.  The result is row i
+    of ``dm.order``, read-only.
     """
     if not 0 <= i < dm.n_r:
         raise IndexError(f"index {i} out of range for {dm.n_r} points")
-    return np.argsort(dm.values[i], kind="stable")
+    return dm.order[i]
 
 
 def write_distance_csv(dm: DistanceMatrix, path) -> None:

@@ -14,6 +14,7 @@ number is independent of scheduling and worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -122,10 +123,12 @@ def true_mi(
     sources = np.asarray(sources, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[0] < 1:
         raise ValueError("sources must be a (n_s, n_d) array")
+    if not np.all(np.isfinite(sources)):
+        raise ValueError("sources must be finite")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     n_s = sources.shape[0]
     if sigma2 < SIGMA2_DEGENERATE:
         return math.log2(n_s)
@@ -205,19 +208,6 @@ class BenchmarkResult:
     summary: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _EvalTask:
-    n_s: int
-    n_d: int
-    n_t: int
-    cand_seed: int
-    widths: tuple
-    lambdas: tuple
-    repeats: int
-    kernel_seed: int
-    hist_seed: int
-
-
 def _curve_value_at(curve, n_t: int):
     for size, bits in curve:
         if size == n_t:
@@ -225,29 +215,34 @@ def _curve_value_at(curve, n_t: int):
     return None
 
 
-def _probe_candidate(args) -> tuple[int, float, float]:
-    """Candidate (cand_seed, sigma2, true_bits) for one pruning attempt."""
-    base_seed, idx, n_s, n_d, n_t, mc_samples = args
-    cand_seed = derived_seed(base_seed, idx, 0)
-    sources, sigma2 = _draw_model(ToySpec(n_s, n_d, n_t, None, cand_seed))
-    tm = true_mi(sources, sigma2, mc_samples, derived_seed(base_seed, idx, 1))
-    return cand_seed, sigma2, tm
+def _candidate_spec(protocol: BenchmarkProtocol, seed: int, idx: int) -> ToySpec:
+    """Generator parameters of candidate ``idx`` of a run with base ``seed``."""
+    cand_seed = derived_seed(seed, idx, 0)
+    return ToySpec(protocol.n_s, protocol.n_d, protocol.n_t, None, cand_seed)
 
 
-def _evaluate_candidate(task: _EvalTask) -> dict:
-    ds, _, _ = generate_toy(ToySpec(task.n_s, task.n_d, task.n_t, None, task.cand_seed))
+def _probe_candidate(protocol, mc_samples, seed, idx) -> tuple[int, float, float]:
+    """Candidate (cand_seed, sigma2, true_bits) for pruning attempt ``idx``."""
+    spec = _candidate_spec(protocol, seed, idx)
+    sources, sigma2 = _draw_model(spec)
+    tm = true_mi(sources, sigma2, mc_samples, derived_seed(seed, idx, 1))
+    return spec.seed, sigma2, tm
+
+
+def _evaluate_candidate(protocol, widths, lambdas, repeats, seed, idx) -> dict:
+    ds, _, _ = generate_toy(_candidate_spec(protocol, seed, idx))
     dm = distance_matrix(ds, MetricSpec.euclidean())
-    kcfg = KernelConfig(n_h=task.n_t)
+    kcfg = KernelConfig(n_h=protocol.n_t)
     kfit, kcurve = bias_corrected_mi(
-        ds, dm, kcfg, lambdas=task.lambdas, repeats=task.repeats, seed=task.kernel_seed
+        ds, dm, kcfg, lambdas=lambdas, repeats=repeats, seed=derived_seed(seed, idx, 2)
     )
     kernel_raw = _curve_value_at(kcurve, ds.n_t)
     if kernel_raw is None:
         kernel_raw = kernel_mi(ds, dm, kcfg).bits
     # every width is evaluated on the same subsamples, drawn once
-    hist_draws = subsample_draws(ds, task.lambdas, task.repeats, task.hist_seed)
+    hist_draws = subsample_draws(ds, lambdas, repeats, derived_seed(seed, idx, 3))
     hist_corrected, hist_raw = [], []
-    for width in task.widths:
+    for width in widths:
         hcfg = HistogramConfig(width=width)
         hfit, hcurve = bias_corrected_mi(ds, None, hcfg, draws=hist_draws)
         raw = _curve_value_at(hcurve, ds.n_t)
@@ -330,19 +325,16 @@ def run_benchmark(
     # one worker probes each candidate only when the loop reaches it; a pool
     # probes in chunks that pay for the parallelism
     chunk = 1 if pool is None else 256
+    probe = functools.partial(_probe_candidate, protocol, mc_samples, seed)
+    evaluate = functools.partial(_evaluate_candidate, protocol, widths, usable_lambdas,
+                                 repeats, seed)
     try:
         while len(accepted) < protocol.dataset_count and attempts < give_up:
             hi = min(attempts + chunk, give_up)
             if not protocol.prune:
                 hi = min(hi, attempts + protocol.dataset_count - len(accepted))
-            args = [
-                (seed, i, protocol.n_s, protocol.n_d, protocol.n_t, mc_samples)
-                for i in range(attempts, hi)
-            ]
-            if pool is not None:
-                probes = list(pool.map(_probe_candidate, args, chunksize=32))
-            else:
-                probes = [_probe_candidate(a) for a in args]
+            ids = range(attempts, hi)
+            probes = list(pool.map(probe, ids, chunksize=32) if pool else map(probe, ids))
             for offset, (cand_seed, sigma2, tm) in enumerate(probes):
                 idx = attempts + offset
                 if protocol.prune:
@@ -366,24 +358,8 @@ def run_benchmark(
                 f"datasets after {attempts} attempts"
             )
 
-        tasks = [
-            _EvalTask(
-                protocol.n_s,
-                protocol.n_d,
-                protocol.n_t,
-                cand_seed,
-                widths,
-                usable_lambdas,
-                repeats,
-                derived_seed(seed, idx, 2),
-                derived_seed(seed, idx, 3),
-            )
-            for idx, cand_seed, _, _ in accepted
-        ]
-        if pool is not None:
-            outcomes = list(pool.map(_evaluate_candidate, tasks))
-        else:
-            outcomes = [_evaluate_candidate(t) for t in tasks]
+        indices = [idx for idx, _, _, _ in accepted]
+        outcomes = list(pool.map(evaluate, indices) if pool else map(evaluate, indices))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -11,6 +11,7 @@ from metricmi import (
     KsgConfig,
     LabeledDataset,
     MetricSpec,
+    bias_corrected_mi,
     distance_matrix,
     histogram_mi,
     kernel_mi,
@@ -78,6 +79,15 @@ class TestQuadraticExtrapolate:
 
 
 class TestSubsampleCurve:
+    @pytest.mark.parametrize("estimator, config", [(kernel_mi, KernelConfig(n_h=20)),
+                                                   (ksg_mi, KsgConfig(n_k=2))],
+                             ids=["kernel", "ksg"])
+    def test_estimate_then_curve_sorts_the_matrix_once(self, matrix_sorts, estimator, config):
+        ds, dm = toy(np.random.default_rng(40))
+        estimator(ds, dm, config)
+        bias_corrected_mi(ds, dm, config, lambdas=(0.4, 0.6, 0.8, 1.0), repeats=2)
+        assert matrix_sorts == [(60, 60)]
+
     def test_full_fraction_equals_direct_estimate(self):
         ds, dm = toy(np.random.default_rng(2))
         cfg = KernelConfig(n_h=ds.n_t)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from metricmi.cli import main
-from metricmi.estimators import NeighborTable
 
 
 def run_cli(argv):
@@ -114,19 +113,11 @@ class TestEstimate:
         assert out["curve"][-1][0] == 10
 
     @pytest.mark.parametrize("flags", [[], ["--ksg", "--nk", "2"]], ids=["kernel", "ksg"])
-    def test_bias_correct_sorts_the_matrix_once(self, tmp_path, monkeypatch, flags):
-        sorts = []
-        real_init = NeighborTable.__init__
-
-        def counting(self, *args):
-            sorts.append(args)
-            real_init(self, *args)
-
-        monkeypatch.setattr(NeighborTable, "__init__", counting)
+    def test_bias_correct_sorts_the_matrix_once(self, tmp_path, matrix_sorts, flags):
         data = self._gen(tmp_path, sigma2="0.05")
         assert run_cli(["estimate", "--input", str(data), *flags, "--bias-correct",
                         "--lambdas", "0.4,0.6,0.8,1.0", "-o", str(tmp_path / "e.json")]) == 0
-        assert len(sorts) == 1
+        assert matrix_sorts == [(100, 100)]
 
     def test_output_file_and_determinism(self, tmp_path):
         data = self._gen(tmp_path, sigma2="0.3")

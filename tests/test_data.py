@@ -181,11 +181,6 @@ class TestSpikeText:
         with pytest.raises(DatasetParseError):
             load_dataset(f, FORMAT_SPIKE_TEXT)
 
-    def test_wrong_writer_format_rejected(self, tmp_path):
-        ds = _vec_dataset(np.random.default_rng(2))
-        with pytest.raises(MixedVariantError):
-            save_dataset(ds, tmp_path / "x", FORMAT_SPIKE_TEXT)
-
 
 class TestSubsample:
     def test_identity_at_full_fraction(self):

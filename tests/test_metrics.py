@@ -322,6 +322,22 @@ class TestSpikeMatrixMatchesPairs:
 
 
 class TestNeighborOrder:
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=14))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_order_is_stable_sort_of_rows(self, x):
+        # integer points on a line: duplicates and tied distances in every row
+        x = np.asarray(x, dtype=np.float64)
+        dm = DistanceMatrix(np.abs(x[:, None] - x[None, :]))
+        order = dm.order
+        assert order.dtype == np.int64 and not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0, 0] = 0
+        assert dm.order is order
+        for i in range(dm.n_r):
+            want = sorted(range(dm.n_r), key=lambda j: (dm.values[i, j], j))
+            assert order[i].tolist() == want
+            assert np.array_equal(neighbor_order(dm, i), order[i])
+
     def test_basic_sort(self):
         # from i: self 0, j at 2.0, k at 1.0 -> [i, k, j]
         vals = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])

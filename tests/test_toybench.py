@@ -198,6 +198,11 @@ class TestTrueMi:
             true_mi(np.zeros((2, 2)), 0.5, mc_samples=0)
         with pytest.raises(ValueError):
             true_mi(np.zeros(3), 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sources must be finite"):
+                true_mi(np.array([[0.0, bad], [0.1, 0.2]]), 0.5)
+            with pytest.raises(ValueError, match="sigma2 must be finite"):
+                true_mi(np.zeros((2, 2)), bad)
 
 
 class TestChiDensity:

@@ -11,7 +11,8 @@ from seed to seed, so a slow spell of the shared machine does not always land on
 the same side.  The output file holds, per workload and side, the median and
 quartiles of each end-to-end metric, the op counts (``peak_rss_mb`` is a
 process maximum after a fixed-time loop, so it grows with the number of ops
-a run fits), in how many pairs the change was better, and every raw run.
+a run fits), in how many pairs the change was better, every raw run, and each
+side's ``src_lines``, the line count of its ``src/metricmi/*.py`` (as ``wc -l``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def slim(info: dict, result: dict) -> dict:
     return run
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's ``src/metricmi/*.py``, the total ``wc -l`` prints."""
+    files = (checkout / "src" / "metricmi").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles (statistics.quantiles, exclusive method)."""
     q1, median, q3 = statistics.quantiles(values, n=4)
@@ -76,12 +83,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def write_summary(out: Path, runs: list[dict], spec: dict, workloads: list[str]) -> None:
+def write_summary(out: Path, runs: list[dict], spec: dict, workloads: list[str],
+                  sides: dict) -> None:
     doc = {
         "command": f"python3 tools/bench_pair.py --parent <parent checkout> --out {out.name}",
         "seeds": SEEDS,
         "seconds": spec["run_seconds"],
         "machine": {key: runs[0][key] for key in ("cores", "python", "numpy", "scipy")},
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "quartiles": "statistics.quantiles(n=4), exclusive method",
         "workloads": {w: summarize([r for r in runs if r["workload"] == w],
@@ -113,7 +122,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: op_mean_ref {value:.3f}, "
                       f"{result['attempted']} ops, {result['failed']} failed", file=sys.stderr)
 
-    write_summary(args.out, runs, spec, workloads)
+    write_summary(args.out, runs, spec, workloads, sides)
     return 0
 
 
