@@ -122,7 +122,7 @@ def subsample_curve(
     shrinks.  Kernel and KSG count every
     subsample in one NeighborTable of the full matrix, which gives the
     same bits as estimating each subsample on its own submatrix; the table
-    reads the matrix's ``order``, sorted once per matrix.
+    reads the prefix of the matrix's ``order`` that counts need, kept with it.
     """
     if draws is None:
         draws = subsample_draws(d, lambdas, repeats, seed)

@@ -154,12 +154,12 @@ def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
 
 
 def _out_of_memory(n: int, with_order: bool) -> MemoryError:
-    # kernel and KSG hold an int64 neighbor order as large as the matrix,
-    # besides working arrays of n_r times the prefix width they read
+    # kernel and KSG hold an int64 neighbor order of the K columns counts read,
+    # all n_r once they read half a row, and working arrays of n_r times K
     size = 8 * n * n
     text = f"the distance matrix for n_r = {n} responses needs {size} bytes"
     if with_order:
-        text += f", and its int64 neighbor order another {size} (at least {2 * size} in all)"
+        text += f", and its int64 neighbor order up to another {size} (up to {2 * size} in all)"
     return MemoryError(text)
 
 

@@ -128,13 +128,13 @@ def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
 class NeighborTable:
     """Each point's neighbors in (distance, index) order, counted within a subset.
 
-    The order is the matrix's own ``DistanceMatrix.order``: one stable sort of
-    each row, done when the first table on a matrix reads it.  An ascending
-    subset's own order is that order filtered to its members, since
+    The order is the matrix's own ``DistanceMatrix.order``, of which counts
+    read a prefix of K columns, K doubling up to n_r for the rows it leaves
+    short; ``DistanceMatrix.order_prefix`` sorts only those columns.  An
+    ascending subset's own order is that order filtered to its members, since
     filtering keeps the relative order of equal distances, and every count is
     an integer: a count on a subset equals the count on its submatrix sorted
-    afresh, bit for bit.  Counts read a prefix of K columns, K doubling up to
-    n_r for the rows it leaves short.  A subset of None is every point.
+    afresh, bit for bit.  A subset of None is every point.
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
@@ -142,7 +142,7 @@ class NeighborTable:
         if self._labels.shape != (dm.n_r,):
             raise ValueError(f"labels of shape {self._labels.shape} do not match "
                              f"the {dm.n_r}x{dm.n_r} distance matrix")
-        self._orders = dm.order
+        self._dm = dm
 
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
         # count(points, cols, member) -> (counts, found) on the order prefixes
@@ -158,7 +158,7 @@ class NeighborTable:
         while todo.size:
             width = min(width, n)
             points = subset[todo]
-            c, f = count(points, self._orders[points, :width], member)
+            c, f = count(points, self._dm.order_prefix(points, width), member)
             done = (f >= need) | (width == n)
             counts[todo[done]], found[todo[done]] = c[done], f[done]
             todo = todo[~done]
@@ -207,7 +207,7 @@ def neighbor_count_c(
     """Number of same-stimulus points among the n_h nearest to point i.
 
     The point itself is one of its own neighbors, so the count is always in
-    [1, min(n_h, trials per stimulus)].  Only the first call on a matrix sorts it.
+    [1, min(n_h, trials per stimulus)].  Rows are sorted only as far as counts read.
     """
     if not 1 <= n_h <= dm.n_r:
         raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
@@ -247,7 +247,7 @@ def neighbor_count_C(dm: DistanceMatrix, labels: np.ndarray, i: int, n_k: int) -
     The n_k-th nearest same-stimulus response other than i is located first;
     the count then covers every other point ranking at or before it in the
     (distance, index) neighbor order, so the result is at least n_k and ties
-    cannot double-count.  Only the first call on a matrix sorts it.
+    cannot double-count.  Rows are sorted only as far as counts read.
     """
     KsgConfig(n_k)  # reuse the config's check of n_k
     _check_point(dm, i)

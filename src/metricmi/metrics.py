@@ -78,7 +78,7 @@ class DistanceMatrix:
     estimators see.
     """
 
-    __slots__ = ("values", "_order")
+    __slots__ = ("values", "_order", "_prefix")
 
     def __init__(self, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -94,7 +94,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be symmetric")
         values.setflags(write=False)
         self.values = values
-        self._order = None
+        self._order = self._prefix = None
 
     @property
     def n_r(self) -> int:
@@ -109,12 +109,48 @@ class DistanceMatrix:
         if self._order is None:
             order = np.argsort(self.values, axis=1, kind="stable")
             order.setflags(write=False)
-            self._order = order
+            self._order, self._prefix = order, None
         return self._order
+
+    def order_prefix(self, rows, width: int) -> np.ndarray:
+        """``order[rows, :width]``, sorting only the columns that slice needs.
+
+        The first call sorts that prefix of every row and keeps it; a wider
+        later call sorts its own rows only.  From half a row on, which costs
+        about a full sort, it reads ``order``, which then replaces the prefix.
+        """
+        if self._order is not None or 2 * width >= self.n_r:
+            return self.order[rows, :width]
+        if self._prefix is None:
+            self._prefix = _sorted_prefix(self.values, width)
+            self._prefix.setflags(write=False)
+        if width <= self._prefix.shape[1]:
+            return self._prefix[rows, :width]
+        return _sorted_prefix(self.values[rows], width)
 
     def submatrix(self, indices) -> "DistanceMatrix":
         indices = np.asarray(indices, dtype=np.intp)
         return DistanceMatrix(self.values[np.ix_(indices, indices)])
+
+
+def _sorted_prefix(values: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` columns of each row's stable argsort, sorting no more.
+
+    They are a row's distances below its ``width``-th smallest, t, and then
+    its lowest-index ties at t, as the stable sort has them.
+    """
+    t = np.partition(values, width - 1, axis=1)[:, width - 1 : width]
+    keep = values <= t
+    excess = np.count_nonzero(keep, axis=1) - width
+    # in each row tied at t beyond the prefix, drop its last `excess` ties
+    over = np.flatnonzero(excess)
+    r, c = np.nonzero(values[over] == t[over])
+    from_end = np.cumsum(np.bincount(r, minlength=over.size))[r] - np.arange(r.size)
+    drop = from_end <= excess[over][r]
+    keep[over[r[drop]], c[drop]] = False
+    cols = np.nonzero(keep)[1].reshape(-1, width)
+    first = np.argsort(np.take_along_axis(values, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, first, axis=1)
 
 
 def euclidean_distance(a, b) -> float:

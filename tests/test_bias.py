@@ -86,7 +86,19 @@ class TestSubsampleCurve:
         ds, dm = toy(np.random.default_rng(40))
         estimator(ds, dm, config)
         bias_corrected_mi(ds, dm, config, lambdas=(0.4, 0.6, 0.8, 1.0), repeats=2)
-        assert matrix_sorts == [(60, 60)]
+        # the first sort covers every row; every row is then sorted to a
+        # prefix at most once and in full at most once, and no sort of fewer
+        # rows reaches the last column
+        n = ds.n_r
+        assert matrix_sorts[0][0] == n
+        assert [s for s in matrix_sorts if s[1] == n] in ([], [(n, n)])
+        assert sum(s[0] == n and s[1] < n for s in matrix_sorts) <= 1
+
+    def test_narrow_kernel_sorts_no_full_row(self, matrix_sorts):
+        # n_h = 10 < n_r / 4: every row is sorted to its first 2 * n_h columns only
+        ds, dm = toy(np.random.default_rng(40))
+        kernel_mi(ds, dm, KernelConfig(n_h=10))
+        assert matrix_sorts == [(ds.n_r, 20)]
 
     def test_full_fraction_equals_direct_estimate(self):
         ds, dm = toy(np.random.default_rng(2))

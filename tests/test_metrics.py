@@ -338,6 +338,44 @@ class TestNeighborOrder:
             assert order[i].tolist() == want
             assert np.array_equal(neighbor_order(dm, i), order[i])
 
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_order_prefix_is_the_full_orders_prefix(self, x, data):
+        # integer points on a line: duplicates, and ties across the prefix
+        # edge in most rows; a few calls on random ascending rows and widths,
+        # then every row, which must see what the first call kept
+        x = np.asarray(x, dtype=np.float64)
+        values = np.abs(x[:, None] - x[None, :])
+        want = DistanceMatrix(values).order
+        dm = DistanceMatrix(values)
+        n = x.size
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            width = data.draw(st.integers(1, n))
+            assert np.array_equal(dm.order_prefix(rows, width), want[rows, :width])
+        width = data.draw(st.integers(1, n))
+        assert np.array_equal(dm.order_prefix(np.arange(n), width), want[:, :width])
+
+    def test_order_prefix_breaks_edge_ties_by_index(self):
+        # from point 0, points 1-4 tie at distance 1 across a prefix of 3
+        x = np.array([0.0, 1.0, 1.0, 1.0, 1.0] + [9.0] * 5)
+        dm = DistanceMatrix(np.abs(x[:, None] - x[None, :]))
+        assert dm.order_prefix(np.array([0]), 3).tolist() == [[0, 1, 2]]
+        assert dm.order_prefix(np.array([0, 9]), 2).tolist() == [[0, 1], [5, 6]]
+
+    def test_order_prefix_of_victor_purpura_at_zero_cost(self):
+        # at q = 0 the distance is the spike count difference: integer ties everywhere
+        rng = np.random.default_rng(19)
+        trains = [np.sort(rng.uniform(0.0, 1.0, size=k)) for k in rng.poisson(6, size=60)]
+        dm = distance_matrix(LabeledDataset.from_spike_trains(trains, [0, 1] * 30),
+                             MetricSpec.victor_purpura(0.0))
+        want = dm.order
+        rows = np.arange(0, 60, 7)
+        for width in range(1, 61):
+            fresh = DistanceMatrix(dm.values)
+            assert np.array_equal(fresh.order_prefix(rows, width), want[rows, :width])
+            assert np.array_equal(fresh.order_prefix(np.arange(60), width), want[:, :width])
+
     def test_basic_sort(self):
         # from i: self 0, j at 2.0, k at 1.0 -> [i, k, j]
         vals = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
