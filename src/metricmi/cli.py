@@ -159,7 +159,7 @@ def _out_of_memory(n: int, with_order: bool) -> MemoryError:
     size = 8 * n * n
     text = f"the distance matrix for n_r = {n} responses needs {size} bytes"
     if with_order:
-        text += f", and its int64 neighbor order up to another {size} (up to {2 * size} in all)"
+        text += f", and its int64 neighbor order up to another {size}, besides working arrays"
     return MemoryError(text)
 
 

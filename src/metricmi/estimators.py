@@ -128,13 +128,12 @@ def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
 class NeighborTable:
     """Each point's neighbors in (distance, index) order, counted within a subset.
 
-    The order is the matrix's own ``DistanceMatrix.order``, of which counts
-    read a prefix of K columns, K doubling up to n_r for the rows it leaves
-    short; ``DistanceMatrix.order_prefix`` sorts only those columns.  An
-    ascending subset's own order is that order filtered to its members, since
-    filtering keeps the relative order of equal distances, and every count is
-    an integer: a count on a subset equals the count on its submatrix sorted
-    afresh, bit for bit.  A subset of None is every point.
+    Counts read a prefix of K columns of the matrix's own order, K doubling
+    up to n_r for the rows it leaves short (``DistanceMatrix.order_prefix``).
+    An ascending subset's own order is that order filtered to its members,
+    since filtering keeps the relative order of equal distances, and every
+    count is an integer: a count on a subset equals the count on its
+    submatrix sorted afresh, bit for bit.  A subset of None is every point.
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):

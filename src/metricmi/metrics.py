@@ -78,7 +78,7 @@ class DistanceMatrix:
     estimators see.
     """
 
-    __slots__ = ("values", "_order", "_prefix")
+    __slots__ = ("values", "_order")
 
     def __init__(self, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -94,7 +94,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be symmetric")
         values.setflags(write=False)
         self.values = values
-        self._order = self._prefix = None
+        self._order = None
 
     @property
     def n_r(self) -> int:
@@ -106,51 +106,49 @@ class DistanceMatrix:
 
         One stable sort of each row, done on first read and kept with the matrix.
         """
-        if self._order is None:
+        if self._order is None or self._order.shape[1] < self.n_r:
+            self._order = None  # free a kept prefix before the full sort allocates
             order = np.argsort(self.values, axis=1, kind="stable")
             order.setflags(write=False)
-            self._order, self._prefix = order, None
+            self._order = order
         return self._order
 
     def order_prefix(self, rows, width: int) -> np.ndarray:
-        """``order[rows, :width]``, sorting only the columns that slice needs.
+        """``order[rows, :width]``, sorting no more columns than that.
 
-        The first call sorts that prefix of every row and keeps it; a wider
-        later call sorts its own rows only.  From half a row on, which costs
-        about a full sort, it reads ``order``, which then replaces the prefix.
+        The first call keeps that prefix of every row.  A wider call on under
+        an eighth of the rows sorts them alone; any other wider call, or one
+        of half a row or more, reads ``order``.
         """
-        if self._order is not None or 2 * width >= self.n_r:
-            return self.order[rows, :width]
-        if self._prefix is None:
-            self._prefix = _sorted_prefix(self.values, width)
-            self._prefix.setflags(write=False)
-        if width <= self._prefix.shape[1]:
-            return self._prefix[rows, :width]
-        return _sorted_prefix(self.values[rows], width)
+        if self._order is None and 2 * width < self.n_r:
+            self._order = _sorted_prefix(self.values, np.arange(self.n_r), width)
+        if self._order is not None and width <= self._order.shape[1]:
+            return self._order[rows, :width]
+        if 2 * width < self.n_r and 8 * len(rows) < self.n_r:
+            return _sorted_prefix(self.values, rows, width)
+        return self.order[rows, :width]
 
     def submatrix(self, indices) -> "DistanceMatrix":
         indices = np.asarray(indices, dtype=np.intp)
         return DistanceMatrix(self.values[np.ix_(indices, indices)])
 
 
-def _sorted_prefix(values: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` columns of each row's stable argsort, sorting no more.
-
-    They are a row's distances below its ``width``-th smallest, t, and then
-    its lowest-index ties at t, as the stable sort has them.
-    """
-    t = np.partition(values, width - 1, axis=1)[:, width - 1 : width]
-    keep = values <= t
-    excess = np.count_nonzero(keep, axis=1) - width
-    # in each row tied at t beyond the prefix, drop its last `excess` ties
-    over = np.flatnonzero(excess)
-    r, c = np.nonzero(values[over] == t[over])
-    from_end = np.cumsum(np.bincount(r, minlength=over.size))[r] - np.arange(r.size)
-    drop = from_end <= excess[over][r]
-    keep[over[r[drop]], c[drop]] = False
-    cols = np.nonzero(keep)[1].reshape(-1, width)
-    first = np.argsort(np.take_along_axis(values, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, first, axis=1)
+def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """``argsort(values[rows], kind="stable")[:, :width]``, 64 rows at a time."""
+    prefix = np.empty((len(rows), width), dtype=np.intp)
+    for start in range(0, len(rows), 64):
+        block = values[rows[start : start + 64]]
+        t = np.partition(block, width - 1, axis=1)[:, [width - 1]]
+        keep = block <= t
+        excess = np.count_nonzero(keep, axis=1, keepdims=True) - width
+        # sort only up to the width-th smallest, t; a row tied at t past it drops its last ties
+        over = np.flatnonzero(excess)
+        ties = block[over] == t[over]
+        keep[over] &= ~ties | (np.cumsum(ties[:, ::-1], axis=1)[:, ::-1] > excess[over])
+        cols = np.nonzero(keep)[1].reshape(-1, width)
+        first = np.argsort(np.take_along_axis(block, cols, axis=1), axis=1, kind="stable")
+        prefix[start : start + 64] = np.take_along_axis(cols, first, axis=1)
+    return prefix
 
 
 def euclidean_distance(a, b) -> float:

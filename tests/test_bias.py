@@ -79,20 +79,32 @@ class TestQuadraticExtrapolate:
 
 
 class TestSubsampleCurve:
-    @pytest.mark.parametrize("estimator, config", [(kernel_mi, KernelConfig(n_h=20)),
-                                                   (ksg_mi, KsgConfig(n_k=2))],
-                             ids=["kernel", "ksg"])
-    def test_estimate_then_curve_sorts_the_matrix_once(self, matrix_sorts, estimator, config):
-        ds, dm = toy(np.random.default_rng(40))
+    @pytest.mark.parametrize("shape, estimator, config, lambdas", [
+        ((3, 20, 2), kernel_mi, KernelConfig(n_h=20), (0.4, 0.6, 0.8, 1.0)),
+        ((3, 20, 2), ksg_mi, KsgConfig(n_k=2), (0.4, 0.6, 0.8, 1.0)),
+        # at h * n_r = 91.5 subsamples ask a column past the estimate's prefix
+        ((10, 61, 3), kernel_mi, KernelConfig(h=0.15), (0.4, 0.6, 0.8, 1.0)),
+        ((10, 60, 3), ksg_mi, KsgConfig(n_k=3), (0.4, 0.6, 0.8, 1.0)),
+        ((10, 60, 3), ksg_mi, KsgConfig(n_k=3), (1.0, 0.8, 0.6, 0.4)),
+    ], ids=["kernel", "ksg", "kernel-h", "ksg-600", "ksg-600-descending"])
+    def test_estimate_then_curve_sorts_the_matrix_once(self, matrix_sorts, shape, estimator,
+                                                       config, lambdas):
+        # one prefix of every row, the few rows counts leave short, and at
+        # most one full sort: no row sorted more than three times over
+        ds, dm = toy(np.random.default_rng(40), *shape)
         estimator(ds, dm, config)
-        bias_corrected_mi(ds, dm, config, lambdas=(0.4, 0.6, 0.8, 1.0), repeats=2)
-        # the first sort covers every row; every row is then sorted to a
-        # prefix at most once and in full at most once, and no sort of fewer
-        # rows reaches the last column
+        bias_corrected_mi(ds, dm, config, lambdas=lambdas, repeats=10)
         n = ds.n_r
-        assert matrix_sorts[0][0] == n
         assert [s for s in matrix_sorts if s[1] == n] in ([], [(n, n)])
-        assert sum(s[0] == n and s[1] < n for s in matrix_sorts) <= 1
+        assert sum(rows for rows, _ in matrix_sorts) <= 3 * n
+
+    def test_curve_then_estimate_sorts_every_row_once(self, matrix_sorts):
+        # the first call, on a subsample, sorts and keeps the prefix of every row
+        ds, dm = toy(np.random.default_rng(40))
+        bias_corrected_mi(ds, dm, KernelConfig(n_h=10), lambdas=(0.4, 0.6, 0.8, 1.0))
+        kernel_mi(ds, dm, KernelConfig(n_h=10))
+        assert sum(rows for rows, _ in matrix_sorts) <= ds.n_r + ds.n_r // 8
+        assert all(width < ds.n_r for _, width in matrix_sorts)
 
     def test_narrow_kernel_sorts_no_full_row(self, matrix_sorts):
         # n_h = 10 < n_r / 4: every row is sorted to its first 2 * n_h columns only

@@ -117,12 +117,10 @@ class TestEstimate:
         data = self._gen(tmp_path, sigma2="0.05")
         assert run_cli(["estimate", "--input", str(data), *flags, "--bias-correct",
                         "--lambdas", "0.4,0.6,0.8,1.0", "-o", str(tmp_path / "e.json")]) == 0
-        # the first sort covers every row; every row is then sorted to a
-        # prefix at most once and in full at most once, and no sort of fewer
-        # rows reaches the last column
-        assert matrix_sorts[0][0] == 100
+        # one prefix of every row, the few rows counts leave short, and at
+        # most one full sort: no row sorted more than three times over
         assert [s for s in matrix_sorts if s[1] == 100] in ([], [(100, 100)])
-        assert sum(s[0] == 100 and s[1] < 100 for s in matrix_sorts) <= 1
+        assert sum(rows for rows, _ in matrix_sorts) <= 300
 
     def test_output_file_and_determinism(self, tmp_path):
         data = self._gen(tmp_path, sigma2="0.3")
@@ -165,8 +163,7 @@ class TestEstimate:
         assert "n_r = 100" in err and f"{8 * 100 * 100} bytes" in err
         # kernel and KSG also hold an int64 neighbor order, up to as large as the matrix
         if command == "estimate":
-            assert (f"neighbor order up to another {8 * 100 * 100} "
-                    f"(up to {16 * 100 * 100} in all)") in err
+            assert f"neighbor order up to another {8 * 100 * 100}, besides working arrays" in err
         else:
             assert "neighbor order" not in err
         assert not (tmp_path / "out").exists()
@@ -188,7 +185,7 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory")
         assert f"{8 * 100 * 100} bytes" in err
-        assert f"up to another {8 * 100 * 100} (up to {16 * 100 * 100} in all)" in err
+        assert f"neighbor order up to another {8 * 100 * 100}, besides working arrays" in err
 
     def test_ksg_without_nk_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)

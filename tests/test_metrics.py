@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,12 +339,13 @@ class TestNeighborOrder:
             assert order[i].tolist() == want
             assert np.array_equal(neighbor_order(dm, i), order[i])
 
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.data())
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=150), st.data())
     @settings(max_examples=200, deadline=None)
     def test_order_prefix_is_the_full_orders_prefix(self, x, data):
         # integer points on a line: duplicates, and ties across the prefix
         # edge in most rows; a few calls on random ascending rows and widths,
-        # then every row, which must see what the first call kept
+        # then every row, which must see what the first call kept.  Rows are
+        # sorted 64 at a time, so up to 150 points span three blocks
         x = np.asarray(x, dtype=np.float64)
         values = np.abs(x[:, None] - x[None, :])
         want = DistanceMatrix(values).order
@@ -366,15 +368,50 @@ class TestNeighborOrder:
     def test_order_prefix_of_victor_purpura_at_zero_cost(self):
         # at q = 0 the distance is the spike count difference: integer ties everywhere
         rng = np.random.default_rng(19)
-        trains = [np.sort(rng.uniform(0.0, 1.0, size=k)) for k in rng.poisson(6, size=60)]
-        dm = distance_matrix(LabeledDataset.from_spike_trains(trains, [0, 1] * 30),
+        trains = [np.sort(rng.uniform(0.0, 1.0, size=k)) for k in rng.poisson(6, size=150)]
+        dm = distance_matrix(LabeledDataset.from_spike_trains(trains, [0, 1] * 75),
                              MetricSpec.victor_purpura(0.0))
         want = dm.order
-        rows = np.arange(0, 60, 7)
-        for width in range(1, 61):
+        rows = np.arange(0, 150, 7)
+        for width in range(1, 151):
             fresh = DistanceMatrix(dm.values)
             assert np.array_equal(fresh.order_prefix(rows, width), want[rows, :width])
-            assert np.array_equal(fresh.order_prefix(np.arange(60), width), want[:, :width])
+            assert np.array_equal(fresh.order_prefix(np.arange(150), width), want[:, :width])
+
+    def test_order_prefix_of_few_rows_across_blocks(self, matrix_sorts):
+        # 70 of 600 rows, under an eighth, are sorted on their own past the
+        # kept prefix, in two blocks of 64 rows
+        x = np.random.default_rng(23).integers(0, 40, size=600).astype(np.float64)
+        dm = DistanceMatrix(np.abs(x[:, None] - x[None, :]))
+        want = DistanceMatrix(dm.values).order
+        matrix_sorts.clear()
+        rows = np.arange(3, 600, 8)[:70]
+        assert np.array_equal(dm.order_prefix(np.arange(600), 5), want[:, :5])
+        assert np.array_equal(dm.order_prefix(rows, 120), want[rows, :120])
+        assert [s for s in matrix_sorts if s[1] == 120] == [(64, 120), (6, 120)]
+
+    def test_order_prefix_memory_stays_within_a_block_of_rows(self):
+        # every distance ties at 0, so every row drops all but its first ties;
+        # the working arrays hold a block of rows, not the whole matrix
+        n = 2000
+        dm = DistanceMatrix(np.zeros((n, n)))
+        tracemalloc.start()
+        try:
+            prefix = dm.order_prefix(np.arange(n), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(prefix, np.tile(np.arange(10), (n, 1)))
+        assert peak < 8 * n * n // 4
+
+    def test_growing_widths_sort_every_row_at_most_twice(self, matrix_sorts):
+        # a wider call on many rows reads the one full sort, never a new prefix
+        x = np.random.default_rng(29).normal(size=200)
+        dm = DistanceMatrix(np.abs(x[:, None] - x[None, :]))
+        for width in range(1, 201):
+            dm.order_prefix(np.arange(200), width)
+        assert sum(rows for rows, _ in matrix_sorts) == 400
+        assert [s for s in matrix_sorts if s[1] == 200] == [(200, 200)]
 
     def test_basic_sort(self):
         # from i: self 0, j at 2.0, k at 1.0 -> [i, k, j]
