@@ -61,17 +61,23 @@ def _sub_bandwidth(config: KernelConfig, n_r_full: int, n_r_sub: int) -> int:
     return n_h
 
 
+def usable_lambdas(lambdas, n_t: int) -> tuple:
+    """The fractions of ``lambdas`` that leave at least 2 trials per stimulus."""
+    return tuple(lam for lam in lambdas if math.floor(lam * n_t) >= 2)
+
+
 def subsample_draws(
     d: LabeledDataset,
-    lambdas=DEFAULT_LAMBDAS,
+    lambdas=None,
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
 ) -> list[tuple[int, list[np.ndarray]]]:
     """The subsamples of a curve: [(n_t_sub, [indices, ...]), ...].
 
-    Each fraction lam keeps floor(lam * n_t) trials per stimulus; fractions
-    below 2 trials are rejected.  For lam < 1 there are ``repeats``
-    independent stratified draws (substreams derived from (seed,
+    Each fraction lam keeps floor(lam * n_t) trials per stimulus; given
+    fractions below 2 trials are rejected, and ``None`` takes those of
+    ``DEFAULT_LAMBDAS`` that leave at least 2.  For lam < 1 there are
+    ``repeats`` independent stratified draws (substreams derived from (seed,
     lambda-index, repeat-index), so results do not depend on evaluation
     order); lam = 1 is the whole dataset, once.
     """
@@ -79,6 +85,12 @@ def subsample_draws(
         raise ValueError("repeats must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if lambdas is None:
+        lambdas = usable_lambdas(DEFAULT_LAMBDAS, d.n_t)
+        if not lambdas:
+            raise ValueError(
+                f"no default subsample fraction leaves 2 trials per stimulus at n_t = {d.n_t}"
+            )
     lambdas = tuple(lambdas)
     if not lambdas:
         raise ValueError("no subsample fractions given")
@@ -103,32 +115,19 @@ def subsample_draws(
 
 
 def subsample_curve(
-    d: LabeledDataset,
-    dm: DistanceMatrix | None,
-    config,
-    lambdas=DEFAULT_LAMBDAS,
-    repeats: int = DEFAULT_REPEATS,
-    seed: int = 0,
-    *,
-    draws=None,
+    d: LabeledDataset, dm: DistanceMatrix | None, config, draws
 ) -> list[tuple[int, float]]:
     """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
 
-    The subsamples are ``subsample_draws(d, lambdas, repeats, seed)``, or
-    ``draws``, the output of that call, so that curves of several configs
-    can share one set; ``draws`` excludes the other three.  Kernel
-    bandwidths given as a count are converted to the equivalent fraction of
-    the full dataset so the estimator keeps its character as the subsample
-    shrinks.  Kernel and KSG count every
-    subsample in one NeighborTable of the full matrix, which gives the
-    same bits as estimating each subsample on its own submatrix; the table
-    reads the prefix of the matrix's ``order`` that counts need, kept with it.
+    ``draws`` are the subsamples, the output of ``subsample_draws``; curves
+    of several configs can share one set.  Kernel bandwidths given as a
+    count are converted to the equivalent fraction of the full dataset so
+    the estimator keeps its character as the subsample shrinks.  Kernel and
+    KSG count every subsample in one NeighborTable of the full matrix, which
+    gives the same bits as estimating each subsample on its own submatrix;
+    the table reads the prefix of the matrix's ``order`` that counts need,
+    kept with it.
     """
-    if draws is None:
-        draws = subsample_draws(d, lambdas, repeats, seed)
-    elif (tuple(lambdas), repeats, seed) != (DEFAULT_LAMBDAS, DEFAULT_REPEATS, 0):
-        raise ValueError("give the subsamples as draws or as lambdas, repeats and seed")
-
     if isinstance(config, KernelConfig):
         if dm is None:
             raise ValueError("kernel estimation needs a distance matrix")
@@ -213,17 +212,8 @@ def quadratic_extrapolate(curve) -> BiasFit:
 
 
 def bias_corrected_mi(
-    d: LabeledDataset,
-    dm: DistanceMatrix | None,
-    config,
-    lambdas=DEFAULT_LAMBDAS,
-    repeats: int = DEFAULT_REPEATS,
-    seed: int = 0,
-    *,
-    draws=None,
+    d: LabeledDataset, dm: DistanceMatrix | None, config, draws
 ) -> tuple[BiasFit, list[tuple[int, float]]]:
-    """Subsample curve plus its quadratic fit; intercept is the corrected MI."""
-    curve = subsample_curve(
-        d, dm, config, lambdas=lambdas, repeats=repeats, seed=seed, draws=draws
-    )
+    """Subsample curve on ``draws`` plus its quadratic fit; intercept is the corrected MI."""
+    curve = subsample_curve(d, dm, config, draws)
     return quadratic_extrapolate(curve), curve

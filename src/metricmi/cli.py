@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
+from .bias import DEFAULT_REPEATS, bias_corrected_mi, subsample_draws
 from .data import (
     FORMAT_CSV_VECTORS,
     FORMAT_SPIKE_TEXT,
@@ -189,6 +189,11 @@ def _cmd_estimate(args, parser) -> int:
         if args.histogram:
             raise
         raise _out_of_memory(dataset.n_r, with_order=True) from None
+    # NaN and infinity are not JSON: refuse them before writing anything
+    for key, value in out.items():
+        for x in [bits for _, bits in value] if key == "curve" else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"non-finite {key} ({x}); nothing written")
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -228,12 +233,8 @@ def _estimate(args, parser, dataset) -> dict:
     out = {"estimator": estimate.estimator, "config": estimate.config,
            "bits": estimate.bits}
     if args.bias_correct:
-        lambdas = args.lambdas
-        if lambdas is None:
-            lambdas = [l for l in DEFAULT_LAMBDAS if math.floor(l * dataset.n_t) >= 2]
-        fit, curve = bias_corrected_mi(
-            dataset, dm, config, lambdas=lambdas, repeats=args.repeats, seed=args.seed
-        )
+        draws = subsample_draws(dataset, args.lambdas, args.repeats, args.seed)
+        fit, curve = bias_corrected_mi(dataset, dm, config, draws)
         out["curve"] = [[size, bits] for size, bits in curve]
         out["intercept_bits"] = fit.intercept_bits
         out["A_bits"] = fit.A_bits

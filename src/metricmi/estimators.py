@@ -205,8 +205,10 @@ def neighbor_count_c(
 ) -> int:
     """Number of same-stimulus points among the n_h nearest to point i.
 
-    The point itself is one of its own neighbors, so the count is always in
-    [1, min(n_h, trials per stimulus)].  Rows are sorted only as far as counts read.
+    The point itself counts, so the count is in [1, min(n_h, trials per
+    stimulus)], unless n_h or more lower-index points tie with i at distance 0:
+    they push i out of its own n_h nearest, and the count can be 0 (ROADMAP
+    item 1).  Rows are sorted only as far as counts read.
     """
     if not 1 <= n_h <= dm.n_r:
         raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
@@ -228,8 +230,10 @@ def kernel_mi(d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig) -> Mi
     """Square-kernel MI estimate: mean over points of log2(n_s * c_i / n_h).
 
     c_i counts same-stimulus responses among the n_h nearest neighbors of
-    point i (itself included), so the log argument never vanishes.  With
-    n_h <= n_t the estimate lies in [log2(n_s / n_h), log2(n_s)], reaching
+    point i, itself included, so the log argument does not vanish unless n_h
+    or more lower-index points tie with i at distance 0: then c_i can be 0
+    and the estimate -inf (ROADMAP item 1).  Otherwise, with n_h <= n_t,
+    the estimate lies in [log2(n_s / n_h), log2(n_s)], reaching
     the upper end exactly when each stimulus's responses are mutually
     nearest.
     """

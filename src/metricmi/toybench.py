@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi, subsample_draws
+from .bias import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_REPEATS,
+    bias_corrected_mi,
+    subsample_draws,
+    usable_lambdas,
+)
 from .data import LabeledDataset, derived_seed, format_float
 from .estimators import HistogramConfig, KernelConfig, histogram_mi, kernel_mi
 from .metrics import MetricSpec, distance_matrix
@@ -233,9 +239,8 @@ def _evaluate_candidate(protocol, widths, lambdas, repeats, seed, idx) -> dict:
     ds, _, _ = generate_toy(_candidate_spec(protocol, seed, idx))
     dm = distance_matrix(ds, MetricSpec.euclidean())
     kcfg = KernelConfig(n_h=protocol.n_t)
-    kfit, kcurve = bias_corrected_mi(
-        ds, dm, kcfg, lambdas=lambdas, repeats=repeats, seed=derived_seed(seed, idx, 2)
-    )
+    kdraws = subsample_draws(ds, lambdas, repeats, derived_seed(seed, idx, 2))
+    kfit, kcurve = bias_corrected_mi(ds, dm, kcfg, kdraws)
     kernel_raw = _curve_value_at(kcurve, ds.n_t)
     if kernel_raw is None:
         kernel_raw = kernel_mi(ds, dm, kcfg).bits
@@ -244,7 +249,7 @@ def _evaluate_candidate(protocol, widths, lambdas, repeats, seed, idx) -> dict:
     hist_corrected, hist_raw = [], []
     for width in widths:
         hcfg = HistogramConfig(width=width)
-        hfit, hcurve = bias_corrected_mi(ds, None, hcfg, draws=hist_draws)
+        hfit, hcurve = bias_corrected_mi(ds, None, hcfg, hist_draws)
         raw = _curve_value_at(hcurve, ds.n_t)
         if raw is None:
             raw = histogram_mi(ds, hcfg).bits
@@ -300,10 +305,8 @@ def run_benchmark(
         raise ValueError("need at least one histogram width")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    usable_lambdas = tuple(
-        lam for lam in lambdas if math.floor(lam * protocol.n_t) >= 2
-    )
-    if len({math.floor(lam * protocol.n_t) for lam in usable_lambdas}) < 3:
+    lambdas = usable_lambdas(lambdas, protocol.n_t)
+    if len({math.floor(lam * protocol.n_t) for lam in lambdas}) < 3:
         raise ValueError("lambda grid leaves fewer than 3 usable subsample sizes")
 
     if max_workers is not None and max_workers < 1:
@@ -326,8 +329,7 @@ def run_benchmark(
     # probes in chunks that pay for the parallelism
     chunk = 1 if pool is None else 256
     probe = functools.partial(_probe_candidate, protocol, mc_samples, seed)
-    evaluate = functools.partial(_evaluate_candidate, protocol, widths, usable_lambdas,
-                                 repeats, seed)
+    evaluate = functools.partial(_evaluate_candidate, protocol, widths, lambdas, repeats, seed)
     try:
         while len(accepted) < protocol.dataset_count and attempts < give_up:
             hi = min(attempts + chunk, give_up)
@@ -407,7 +409,7 @@ def run_benchmark(
         "mean_abs_err_histogram": _mean_abs_err([r.hist_bits for r in records]),
         "mean_abs_err_kernel_raw": _mean_abs_err([r.kernel_raw_bits for r in records]),
         "mean_abs_err_histogram_raw": _mean_abs_err([r.hist_raw_bits for r in records]),
-        "lambdas": list(usable_lambdas),
+        "lambdas": list(lambdas),
         "repeats": repeats,
         "mc_samples": mc_samples,
         "widths": list(widths),

@@ -19,10 +19,10 @@ from metricmi import (
     quadratic_extrapolate,
     subsample,
     subsample_curve,
+    subsample_draws,
     subsample_indices,
 )
 from metricmi import derived_seed
-from metricmi.bias import subsample_draws
 
 
 def toy(rng, n_s=3, n_t=20, n_d=2, duplicates=False):
@@ -93,7 +93,7 @@ class TestSubsampleCurve:
         # most one full sort: no row sorted more than three times over
         ds, dm = toy(np.random.default_rng(40), *shape)
         estimator(ds, dm, config)
-        bias_corrected_mi(ds, dm, config, lambdas=lambdas, repeats=10)
+        bias_corrected_mi(ds, dm, config, subsample_draws(ds, lambdas, 10))
         n = ds.n_r
         assert [s for s in matrix_sorts if s[1] == n] in ([], [(n, n)])
         assert sum(rows for rows, _ in matrix_sorts) <= 3 * n
@@ -101,7 +101,8 @@ class TestSubsampleCurve:
     def test_curve_then_estimate_sorts_every_row_once(self, matrix_sorts):
         # the first call, on a subsample, sorts and keeps the prefix of every row
         ds, dm = toy(np.random.default_rng(40))
-        bias_corrected_mi(ds, dm, KernelConfig(n_h=10), lambdas=(0.4, 0.6, 0.8, 1.0))
+        draws = subsample_draws(ds, (0.4, 0.6, 0.8, 1.0))
+        bias_corrected_mi(ds, dm, KernelConfig(n_h=10), draws)
         kernel_mi(ds, dm, KernelConfig(n_h=10))
         assert sum(rows for rows, _ in matrix_sorts) <= ds.n_r + ds.n_r // 8
         assert all(width < ds.n_r for _, width in matrix_sorts)
@@ -115,21 +116,33 @@ class TestSubsampleCurve:
     def test_full_fraction_equals_direct_estimate(self):
         ds, dm = toy(np.random.default_rng(2))
         cfg = KernelConfig(n_h=ds.n_t)
-        curve = subsample_curve(ds, dm, cfg, lambdas=(1.0,), seed=3)
+        curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (1.0,), seed=3))
         assert curve == [(ds.n_t, kernel_mi(ds, dm, cfg).bits)]
 
     def test_rejects_fractions_below_two_trials(self):
         ds, dm = toy(np.random.default_rng(3), n_t=10)
         with pytest.raises(ValueError):
-            subsample_curve(ds, dm, KernelConfig(n_h=10), lambdas=(0.1, 0.5, 1.0))
+            subsample_curve(ds, dm, KernelConfig(n_h=10), subsample_draws(ds, (0.1, 0.5, 1.0)))
+
+    def test_default_grid_keeps_fractions_with_two_trials(self):
+        ds, dm = toy(np.random.default_rng(3), n_t=10)
+        draws = subsample_draws(ds, seed=2)
+        assert [n for n, _ in draws] == list(range(2, 11))
+        explicit = subsample_draws(ds, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), seed=2)
+        for (n, subsets), (n_x, subsets_x) in zip(draws, explicit, strict=True):
+            assert n == n_x
+            assert all(np.array_equal(a, b) for a, b in zip(subsets, subsets_x, strict=True))
+        single = LabeledDataset.from_vectors(np.zeros((2, 1)), [0, 1])
+        with pytest.raises(ValueError, match="at n_t = 1$"):
+            subsample_draws(single)
 
     def test_deterministic(self):
         ds, dm = toy(np.random.default_rng(4))
         cfg = KernelConfig(n_h=ds.n_t)
-        a = subsample_curve(ds, dm, cfg, seed=11)
-        b = subsample_curve(ds, dm, cfg, seed=11)
+        a = subsample_curve(ds, dm, cfg, subsample_draws(ds, seed=11))
+        b = subsample_curve(ds, dm, cfg, subsample_draws(ds, seed=11))
         assert a == b
-        assert a != subsample_curve(ds, dm, cfg, seed=12)
+        assert a != subsample_curve(ds, dm, cfg, subsample_draws(ds, seed=12))
 
     def test_kernel_fast_path_matches_direct_estimator(self):
         # the filtered-order path must agree bit for bit with estimating on
@@ -139,7 +152,7 @@ class TestSubsampleCurve:
             ds, dm = toy(rng, n_s=3, n_t=12, duplicates=True)
             cfg = KernelConfig(n_h=ds.n_t)
             for li, lam in enumerate((0.25, 0.5, 0.75)):
-                curve = subsample_curve(ds, dm, cfg, lambdas=(lam,), repeats=3, seed=trial)
+                curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (lam,), 3, trial))
                 direct = []
                 for ri in range(3):
                     idx = subsample_indices(ds, lam, derived_seed(trial, 0, ri))
@@ -154,7 +167,7 @@ class TestSubsampleCurve:
         ds, _ = toy(rng, n_s=3, n_t=12)
         cfg = HistogramConfig(width=0.8)
         for lam in (0.5, 1.0):
-            curve = subsample_curve(ds, None, cfg, lambdas=(lam,), repeats=4, seed=9)
+            curve = subsample_curve(ds, None, cfg, subsample_draws(ds, (lam,), 4, 9))
             direct = []
             if lam == 1.0:
                 direct.append(histogram_mi(ds, cfg).bits)
@@ -167,7 +180,7 @@ class TestSubsampleCurve:
     def test_ksg_curve(self):
         ds, dm = toy(np.random.default_rng(7), n_s=2, n_t=10)
         cfg = KsgConfig(n_k=2)
-        curve = subsample_curve(ds, dm, cfg, lambdas=(0.5, 1.0), repeats=2, seed=0)
+        curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (0.5, 1.0), 2, 0))
         assert curve[1] == (10, ksg_mi(ds, dm, cfg).bits)
         assert all(math.isfinite(bits) for _, bits in curve)
 
@@ -188,7 +201,7 @@ class TestSubsampleCurve:
             ds = LabeledDataset.from_vectors(X, np.repeat(np.arange(3), 12))
             dm = distance_matrix(ds, MetricSpec.euclidean())
         lambdas = (0.25, 0.5, 0.75, 1.0)
-        curve = subsample_curve(ds, dm, cfg, lambdas=lambdas, repeats=3, seed=4)
+        curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, lambdas, 3, 4))
         for li, (lam, (_, bits)) in enumerate(zip(lambdas, curve)):
             direct = [ksg_mi(ds, dm, cfg).bits] if lam == 1.0 else [
                 ksg_mi(ds.take(idx), dm.submatrix(idx), cfg).bits
@@ -202,25 +215,23 @@ class TestSubsampleCurve:
         ds, dm = toy(np.random.default_rng(13), n_s=2, n_t=10)
         msg = "n_k = 2 needs at least 3 trials per stimulus, dataset has n_t = 2"
         with pytest.raises(ValueError, match=f"^{msg}$"):
-            subsample_curve(ds, dm, KsgConfig(n_k=2), lambdas=(0.2, 1.0), repeats=2)
+            subsample_curve(ds, dm, KsgConfig(n_k=2), subsample_draws(ds, (0.2, 1.0), 2))
 
     def test_shared_draws_give_the_same_curve(self):
         ds, dm = toy(np.random.default_rng(14), n_s=3, n_t=10)
         draws = subsample_draws(ds, (0.3, 0.6, 1.0), 4, 5)
         for cfg in (KernelConfig(n_h=10), KsgConfig(n_k=1), HistogramConfig(width=0.7)):
-            own = subsample_curve(ds, dm, cfg, lambdas=(0.3, 0.6, 1.0), repeats=4, seed=5)
-            assert subsample_curve(ds, dm, cfg, draws=draws) == own
-        with pytest.raises(ValueError, match="^give the subsamples as draws or as"):
-            subsample_curve(ds, dm, KsgConfig(n_k=1), lambdas=(0.3, 1.0), draws=draws)
+            own = subsample_curve(ds, dm, cfg, subsample_draws(ds, (0.3, 0.6, 1.0), 4, 5))
+            assert subsample_curve(ds, dm, cfg, draws) == own
 
     def test_count_bandwidth_scales_exactly(self):
         # n_h = n_t on n_r = n_s * n_t must resolve to the subsample's trial
         # count even when n_t / n_r is not a dyadic float (e.g. 1/3)
         ds, dm = toy(np.random.default_rng(8), n_s=3, n_t=9)
         cfg = KernelConfig(n_h=9)
-        curve = subsample_curve(ds, dm, cfg, lambdas=(1.0,), seed=0)
+        curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (1.0,), seed=0))
         assert curve[0] == (9, kernel_mi(ds, dm, KernelConfig(n_h=9)).bits)
-        lam_curve = subsample_curve(ds, dm, cfg, lambdas=(2.0 / 3.0,), repeats=2, seed=0)
+        lam_curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (2.0 / 3.0,), 2, 0))
         idx = subsample_indices(ds, 2.0 / 3.0, derived_seed(0, 0, 0))
         sub = ds.take(idx)
         assert sub.n_t == 6
@@ -239,10 +250,10 @@ class TestSubsampleCurve:
     def test_validation(self):
         ds, dm = toy(np.random.default_rng(10))
         with pytest.raises(ValueError):
-            subsample_curve(ds, dm, KernelConfig(n_h=5), repeats=0)
+            subsample_curve(ds, dm, KernelConfig(n_h=5), subsample_draws(ds, repeats=0))
         with pytest.raises(ValueError):
-            subsample_curve(ds, dm, KernelConfig(n_h=5), lambdas=())
+            subsample_curve(ds, dm, KernelConfig(n_h=5), subsample_draws(ds, ()))
         with pytest.raises(ValueError):
-            subsample_curve(ds, None, KernelConfig(n_h=5))
+            subsample_curve(ds, None, KernelConfig(n_h=5), subsample_draws(ds))
         with pytest.raises(TypeError):
-            subsample_curve(ds, dm, object())
+            subsample_curve(ds, dm, object(), subsample_draws(ds))

@@ -6,6 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from metricmi import (
+    BiasFit,
+    KernelConfig,
+    MetricSpec,
+    distance_matrix,
+    load_dataset,
+    subsample_curve,
+    subsample_draws,
+)
 from metricmi.cli import main
 
 
@@ -111,6 +120,48 @@ class TestEstimate:
             assert key in out
         assert len(out["curve"]) == 5
         assert out["curve"][-1][0] == 10
+
+    def test_default_curve_is_the_library_default(self, tmp_path, capsys):
+        # at n_t = 10 the default grid drops lam = 0.1, in the CLI as in the library
+        data = self._gen(tmp_path, sigma2="0.05")
+        assert run_cli(["estimate", "--input", str(data), "--bias-correct"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ds = load_dataset(str(data), "csv-vectors")
+        dm = distance_matrix(ds, MetricSpec.euclidean())
+        curve = subsample_curve(ds, dm, KernelConfig(n_h=10), subsample_draws(ds, seed=0))
+        assert [n for n, _ in out["curve"]] == list(range(2, 11))
+        assert out["curve"] == [[n, bits] for n, bits in curve]
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_bits_exit_one(self, tmp_path, capsys):
+        # every point at 0: the n_h = 2 nearest of a stimulus-1 point are both
+        # lower-index stimulus-0 points, so c = 0 and the estimate is -inf
+        data = tmp_path / "d.csv"
+        data.write_text("0,0\n0,0\n1,0\n1,0\n")
+        out = tmp_path / "e.json"
+        for output in ([], ["-o", str(out)]):
+            assert run_cli(["estimate", "--input", str(data), "--nh", "2", *output]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: non-finite bits")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["curve", "intercept_bits", "A_bits", "B_bits", "residual"])
+    def test_non_finite_bias_fit_exits_one(self, tmp_path, capsys, monkeypatch, key):
+        fields = {"intercept_bits": 1.0, "A_bits": 0.5, "B_bits": 0.25, "residual": 0.0}
+        curve = [(n, 1.0) for n in (4, 7, 10)]
+        if key == "curve":
+            curve[1] = (7, math.nan)
+        else:
+            fields[key] = -math.inf if key == "A_bits" else math.nan
+        monkeypatch.setattr("metricmi.cli.bias_corrected_mi",
+                            lambda *args: (BiasFit(**fields), curve))
+        data = self._gen(tmp_path)
+        out = tmp_path / "e.json"
+        assert run_cli(["estimate", "--input", str(data), "--bias-correct",
+                        "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: non-finite {key} (")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--ksg", "--nk", "2"]], ids=["kernel", "ksg"])
     def test_bias_correct_sorts_the_matrix_once(self, tmp_path, matrix_sorts, flags):
