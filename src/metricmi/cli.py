@@ -8,6 +8,7 @@ seed produce byte-identical outputs regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,6 +68,7 @@ def _add_io_flags(sub):
                      help="van-rossum time constant (seconds)")
 
 
+@functools.cache  # one per process: each build leaves about 1 KiB resident
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricmi",

@@ -151,7 +151,7 @@ class NeighborTable:
         subset = np.arange(n) if subset is None else subset
         member = np.zeros(n, dtype=bool)
         member[subset] = True
-        width = -(-2 * width * n // subset.size)
+        width = -(-width * n // subset.size)
         counts, found = np.empty((2, subset.size), dtype=np.int64)
         todo = np.arange(subset.size)
         while todo.size:
@@ -164,11 +164,11 @@ class NeighborTable:
             width *= 2
         return counts, found
 
-    def kernel_counts(self, n_h: int, subset=None) -> np.ndarray:
+    def kernel_counts(self, n_h: int, subset=None, width=None) -> np.ndarray:
         """c_i: same-stimulus members among each member's n_h nearest members.
 
         The point itself is one of them; a subset of fewer than n_h members
-        counts them all.
+        counts them all.  The first prefix is ``width`` columns, 2 * n_h by default.
         """
         labels = self._labels
 
@@ -178,7 +178,7 @@ class NeighborTable:
             same = inside & (labels[cols] == labels[points, None])
             return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
 
-        return self._count(subset, n_h, n_h, count)[0]
+        return self._count(subset, n_h, width or 2 * n_h, count)[0]
 
     def ksg_counts(self, n_k: int, subset=None) -> tuple[np.ndarray, np.ndarray]:
         """(C, usable): each member's KSG count and its usable neighbors found.
@@ -197,7 +197,7 @@ class NeighborTable:
             upto = np.arange(cols.shape[1]) <= anchor[:, None]
             return np.count_nonzero(others & upto, axis=1), run[:, -1]
 
-        return self._count(subset, n_k, n_k * np.unique(labels).size, count)
+        return self._count(subset, n_k, 2 * n_k * np.unique(labels).size, count)
 
 
 def neighbor_count_c(
@@ -239,7 +239,9 @@ def kernel_mi(d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig) -> Mi
     """
     _check_inputs(d, dm)
     n_h = config.resolve(d.n_r)
-    c = NeighborTable(dm, d.labels).kernel_counts(n_h)
+    # a fraction keeps the ceil(2 * h * n_r) columns its subsamples ask for
+    width = 2 * n_h if config.h is None else math.ceil(2 * config.h * d.n_r)
+    c = NeighborTable(dm, d.labels).kernel_counts(n_h, width=width)
     bits = kernel_bits_from_counts(c, d.n_s, n_h)
     return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
 

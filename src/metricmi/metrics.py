@@ -161,44 +161,90 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def _pad_columns(trains) -> tuple[np.ndarray, np.ndarray]:
-    """Trains as the columns of a zero-padded (longest, count) array, and their lengths."""
-    sizes = np.array([t.size for t in trains], dtype=np.intp)
-    columns = np.zeros((int(sizes.max(initial=0)), len(trains)), dtype=np.float64)
-    for k, t in enumerate(trains):
-        columns[: t.size, k] = t
-    return columns, sizes
+_BLOCK = 1 << 13  # cells of a working array, whatever the number of trains
 
 
-def _vp_row(a: np.ndarray, columns: np.ndarray, sizes: np.ndarray, q: float) -> np.ndarray:
-    """Victor-Purpura distances from train ``a`` to each padded column.
+def _spike_values(trains, metric_pairs, param) -> np.ndarray:
+    """Symmetric, zero-diagonal distance matrix of spike trains, a bucket of pairs at a time.
 
-    Runs the standard O(len(a) * len(b)) dynamic program for every column b
-    at once, one spike of ``a`` per step.  Entry j of a step depends only on
-    entries <= j of the previous one, so the padding below a column's length
-    never reaches the entry that is read, ``sizes[j]``, and every distance
-    equals the one the program computes for that pair alone.
+    ``metric_pairs(columns, sizes, param)`` gives (order, pairs): pairs(a, b)
+    are the distances of trains a[p] and b[p], a before b in ``order``.  The
+    pairs run in order of (len(b), b, a); a bucket is the longest run whose
+    pairs, len(b) + 1 rows each for its last and longest b, fill <= ``_BLOCK`` cells.
     """
-    offsets = np.arange(columns.shape[0] + 1, dtype=np.float64)[:, None]
-    prev = np.repeat(offsets, columns.shape[1], axis=1)
-    cur = np.empty_like(prev)
-    for i, t in enumerate(a, start=1):
-        cur[0] = float(i)
-        # delete a[i-1], or shift it onto each b[j-1]
-        np.minimum(prev[1:] + 1.0, prev[:-1] + q * np.abs(t - columns), out=cur[1:])
-        # resolve insertions top down: cur[j] = min_{k<=j} cur[k] + (j - k)
-        cur -= offsets
-        np.minimum.accumulate(cur, axis=0, out=cur)
-        cur += offsets
-        prev, cur = cur, prev
-    return prev[sizes, np.arange(sizes.size)]
+    sizes = np.array([len(t) for t in trains], dtype=np.intp)
+    columns = np.zeros((int(sizes.max(initial=0)) + 1, sizes.size))  # trains, zero-padded
+    for k, t in enumerate(trains):
+        columns[: sizes[k], k] = t
+    order, pairs = metric_pairs(columns, sizes, param)
+    values = np.zeros((sizes.size, sizes.size), dtype=np.float64)
+    ahead = np.argsort(order, kind="stable")  # how many trains come before each in `order`
+    by_size = np.argsort(sizes, kind="stable")
+    ends = np.cumsum(ahead[by_size])  # pair p has b = by_size[t], t the first with ends[t] > p
+    rows = sizes[by_size] + 1
+    lo = 0
+    while lo < ends[-1]:
+        most = max(1, _BLOCK // rows[np.searchsorted(ends, lo, side="right")])
+        t = np.searchsorted(ends, np.arange(lo, min(ends[-1], lo + most)), side="right")
+        t = t[: max(1, np.count_nonzero(rows[t] * np.arange(1, t.size + 1) <= _BLOCK))]
+        b = by_size[t]
+        a = order[np.arange(lo, lo + t.size) - ends[t] + ahead[b]]
+        values[a, b] = values[b, a] = pairs(a, b)
+        lo += t.size
+    return values
 
 
-def _vp_upper_rows(trains, q: float):
-    """Yield, for each train i, its Victor-Purpura distances to trains i+1, ..."""
-    columns, sizes = _pad_columns(trains)
-    for i, a in enumerate(trains):
-        yield _vp_row(a, columns[:, i + 1 :], sizes[i + 1 :], q)
+def _narrow(array: np.ndarray, width: int, buffer: np.ndarray):
+    """(array[:, :width] copied to the front of ``buffer``, contiguous; the buffer it frees)."""
+    out = buffer.reshape(-1)[: array.shape[0] * width].reshape(array.shape[0], width)
+    out[...] = array[:, :width]
+    return out, array if array.base is None else array.base
+
+
+def _vp_pairs(columns, sizes, q: float):
+    """(order, pairs): Victor-Purpura distances from each train a[p] to b[p], a the lower index.
+
+    The dynamic program runs one spike of each ``a`` per step, for all pairs at
+    once, over the rows of the longest ``b``: entry j depends only on entries
+    <= j of the last step, so padding never reaches entry len(b), which is read.
+    The pairs go in descending len(a), so those still running are a prefix.
+    """
+
+    def pairs(a, b):
+        order = np.argsort(-sizes[a], kind="stable")
+        a, la, lb = a[order], sizes[a[order]], sizes[b[order]]
+        offsets = np.arange(lb.max() + 1, dtype=np.float64)[:, None]
+        prev = np.repeat(offsets, a.size, axis=1)
+        spikes = columns[: offsets.size].take(b[order], axis=1)  # the last row only pads
+        dist, spare, k, rows = np.empty(a.size), np.empty_like(prev), a.size, list(prev)
+        for i, now in enumerate(np.searchsorted(-la, -np.arange(1, la[0] + 1), side="right"), 1):
+            if now < k:
+                # the pairs past `now` are done: read them, and keep the rest contiguous
+                dist[order[now:k]] = prev[lb[now:k], np.arange(now, k)]
+                prev, spare = _narrow(prev, now, spare)
+                spikes, spare = _narrow(spikes, now, spare)
+                k, rows = now, list(prev)
+            # delete a[i-1], or shift it onto each b[j-1]
+            shift = spare.reshape(-1)[: prev.size].reshape(prev.shape)[1:]
+            np.subtract(columns[i - 1, a[:k]], spikes[:-1], out=shift)
+            np.abs(shift, out=shift)
+            shift *= q
+            shift += prev[:-1]
+            prev[1:] += 1.0
+            np.minimum(prev[1:], shift, out=prev[1:])
+            prev[0] = float(i)
+            # resolve insertions top down: prev[j] = min_{k<=j} prev[k] + (j - k);
+            # a call per row beats one strided pass from about 128 pairs on
+            prev -= offsets
+            if k < 128:
+                np.minimum.accumulate(prev, axis=0, out=prev)
+            for above, row in zip(rows, rows[1:]) if k >= 128 else ():
+                np.minimum(above, row, out=row)
+            prev += offsets
+        dist[order[:k]] = prev[lb[:k], np.arange(k)]
+        return dist
+
+    return np.arange(sizes.size), pairs
 
 
 def victor_purpura_distance(a, b, q: float) -> float:
@@ -206,65 +252,43 @@ def victor_purpura_distance(a, b, q: float) -> float:
 
     Minimal-cost transformation of train ``a`` into train ``b`` where deleting
     or inserting a spike costs 1 and moving a spike by dt costs q * |dt|.
-    Computed by the standard O(len(a) * len(b)) dynamic program, vectorized
-    one row at a time; the same code fills ``distance_matrix``.
+    Computed by the O(len(a) * len(b)) dynamic program that fills ``distance_matrix``.
     """
-    trains = [np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)]
-    return float(next(_vp_upper_rows(trains, q))[0])
+    return float(_spike_values([a, b], _vp_pairs, q)[0, 1])
 
 
-# exponentials held at once (128 KiB): caps the working memory of a van
-# Rossum row, whatever the number of trains
-_VR_BLOCK = 1 << 14
+def _vr_pairs(columns, sizes, tau: float):
+    """(order, pairs): van Rossum distances between trains a[p] and b[p].
 
-
-def _vr_kernel_sums(a: np.ndarray, spikes: np.ndarray, sizes: np.ndarray,
-                    tau: float, flip: np.ndarray) -> np.ndarray:
-    """sum_kl exp(-|a_k - b_l| / tau) for each train b, the trains laid end to end in ``spikes``.
-
-    The exponentials are evaluated against many trains at once; each train's
-    block is then summed as its own contiguous (len(a), len(b)) array, or as
-    the (len(b), len(a)) transpose where ``flip`` is set: the reduction a lone
-    pair gets, so the sums are reproducible pair by pair.
+    The order of a sum changes its last bits, which near-equal trains cancel up
+    into the distance; so ``order`` is lexicographic and each cross sum takes the
+    smaller train's spikes first, which makes the distance exactly symmetric.
+    Each pair's exponentials are summed as one contiguous row, as for a lone pair.
     """
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    step = max(1, _VR_BLOCK // max(1, a.size * int(sizes.max(initial=0))))
-    sums = np.empty(sizes.size, dtype=np.float64)
-    for lo in range(0, sizes.size, step):
-        hi = min(lo + step, sizes.size)
-        base = starts[lo]
-        # exp(-|a_k - b_l| / tau), step by step in one buffer
-        e = np.subtract.outer(a, spikes[base : ends[hi - 1]])
-        np.abs(e, out=e)
-        np.negative(e, out=e)
-        np.divide(e, tau, out=e)
-        np.exp(e, out=e)
-        for k in range(lo, hi):
-            # numpy 2.4 sums the strided view the same way, but only the
-            # contiguous copy is sure to take the lone pair's reduction path
-            block = e[:, starts[k] - base : ends[k] - base]
-            sums[k] = np.sum(np.ascontiguousarray(block.T if flip[k] else block))
-    return sums
 
+    def kernel_sums(x, y):  # sum_kl exp(-|x_k - y_l| / tau), by (len x, len y) shape
+        sums = np.empty(x.size, dtype=np.float64)
+        shape = sizes[x] * columns.shape[0] + sizes[y]
+        by_shape = np.argsort(shape, kind="stable")
+        for group in np.split(by_shape, np.flatnonzero(np.diff(shape[by_shape])) + 1):
+            m1, m2 = sizes[x[group[0]]], sizes[y[group[0]]]
+            step = max(1, _BLOCK // max(1, m1 * m2))
+            for part in np.split(group, range(step, group.size, step)):
+                e = np.subtract(columns[:m1, x[part]].T[:, :, None],
+                                columns[:m2, y[part]].T[:, None, :])
+                # exp(|x_k - y_l| / -tau), bitwise exp(-|x_k - y_l| / tau), in one buffer
+                np.abs(e, out=e)
+                np.divide(e, -tau, out=e)
+                np.exp(e, out=e)
+                sums[part] = np.add.reduce(e.reshape(part.size, m1 * m2), axis=1)
+        return sums
 
-def _vr_upper_rows(trains, tau: float):
-    """Yield, for each train i, its van Rossum distances to trains i+1, ..."""
-    sizes = np.array([t.size for t in trains], dtype=np.intp)
-    spikes = np.concatenate(trains)
-    ends = np.cumsum(sizes)
-    # The order of a sum changes its last bits, and near-equal trains cancel
-    # those bits up into the distance; so each cross sum is taken with the
-    # lexicographically smaller train's spikes first, whichever is passed
-    # first, which makes the distance exactly symmetric.
-    keys = [(t.size, t.tolist()) for t in trains]
-    selfs = np.array([_vr_kernel_sums(t, t, sizes[k : k + 1], tau, [False])[0]
-                      for k, t in enumerate(trains)])
-    for i, a in enumerate(trains):
-        flip = [key < keys[i] for key in keys[i + 1 :]]
-        cross = _vr_kernel_sums(a, spikes[ends[i] :], sizes[i + 1 :], tau, flip)
-        d2 = 0.5 * (selfs[i] + selfs[i + 1 :] - 2.0 * cross)
-        yield np.sqrt(np.maximum(d2, 0.0))
+    selfs = kernel_sums(np.arange(sizes.size), np.arange(sizes.size))
+
+    def pairs(a, b):
+        return np.sqrt(np.maximum(0.5 * (selfs[a] + selfs[b] - 2.0 * kernel_sums(a, b)), 0.0))
+
+    return np.lexsort(np.vstack([columns[::-1], sizes])), pairs  # by length, then spikes
 
 
 def van_rossum_distance(a, b, tau: float) -> float:
@@ -273,10 +297,9 @@ def van_rossum_distance(a, b, tau: float) -> float:
     Each train is mapped to a sum of causal exponentials exp(-(t - t_i)/tau)
     and the distance is sqrt((1/tau) * integral (f - g)^2 dt), evaluated in
     closed form through pairwise exp(-|t_i - t_j|/tau) sums; no time grid is
-    involved.  The same code fills ``distance_matrix``.
+    involved.  A bucket of one pair of the code that fills ``distance_matrix``.
     """
-    trains = [np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)]
-    return float(next(_vr_upper_rows(trains, tau))[0])
+    return float(_spike_values([a, b], _vr_pairs, tau)[0, 1])
 
 
 def _check_variant(kind: str, m: MetricSpec) -> None:
@@ -301,20 +324,13 @@ def distance(a: ResponsePoint, b: ResponsePoint, m: MetricSpec) -> float:
 def distance_matrix(d: LabeledDataset, m: MetricSpec) -> DistanceMatrix:
     """All pairwise distances, entry [i, j] = distance(point i, point j)."""
     _check_variant(d.kind, m)
-    n = d.n_r
     if m.kind == EUCLIDEAN:
         values = cdist(d.vectors, d.vectors)
         np.fill_diagonal(values, 0.0)
         return DistanceMatrix(values)
     if m.kind == VICTOR_PURPURA:
-        rows = _vp_upper_rows(d.trains, m.q)
-    else:
-        rows = _vr_upper_rows(d.trains, m.tau)
-    values = np.zeros((n, n), dtype=np.float64)
-    for i, row in enumerate(rows):
-        values[i, i + 1 :] = row
-        values[i + 1 :, i] = row
-    return DistanceMatrix(values)
+        return DistanceMatrix(_spike_values(d.trains, _vp_pairs, m.q))
+    return DistanceMatrix(_spike_values(d.trains, _vr_pairs, m.tau))
 
 
 def neighbor_order(dm: DistanceMatrix, i: int) -> np.ndarray:

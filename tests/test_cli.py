@@ -173,6 +173,17 @@ class TestEstimate:
         assert [s for s in matrix_sorts if s[1] == 100] in ([], [(100, 100)])
         assert sum(rows for rows, _ in matrix_sorts) <= 300
 
+    def test_fraction_bias_correct_sorts_every_row_once(self, tmp_path, matrix_sorts):
+        # h * n_r = 91.5: the estimate's own prefix, ceil(2 * h * n_r) = 183
+        # columns, already holds what every subsample asks for
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "10", "--nd", "3", "--nt", "61", "--sigma2", "0.3",
+                 "--seed", "1", "-o", str(data)])
+        assert run_cli(["estimate", "--input", str(data), "--kernel", "--h-frac", "0.15",
+                        "--bias-correct", "-o", str(tmp_path / "e.json")]) == 0
+        assert sum(rows for rows, _ in matrix_sorts) == 610
+        assert {width for _, width in matrix_sorts} == {183}
+
     def test_output_file_and_determinism(self, tmp_path):
         data = self._gen(tmp_path, sigma2="0.3")
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -23,6 +23,7 @@ from metricmi import (
     van_rossum_distance,
     victor_purpura_distance,
 )
+from metricmi import metrics
 from metricmi.metrics import write_distance_csv
 
 spike_trains = st.lists(
@@ -284,6 +285,24 @@ class TestDistanceMatrix:
         )
         assert np.array_equal(back, dm.values)
 
+    @pytest.mark.parametrize("n_t", [30, 60])
+    @pytest.mark.parametrize("m", [MetricSpec.victor_purpura(10.0), MetricSpec.van_rossum(0.02)],
+                             ids=["vp", "vr"])
+    def test_working_memory_is_bounded(self, n_t, m):
+        # 300 or 600 trains of 10-30 Hz over 1 s: past the matrix itself, the
+        # buckets of pairs hold a fixed amount, not one that grows with the pairs
+        rng = np.random.default_rng(24)
+        rates = np.repeat(rng.uniform(10.0, 30.0, size=10), n_t)
+        trains = [np.sort(rng.uniform(0.0, 1.0, k)) for k in rng.poisson(rates)]
+        ds = LabeledDataset.from_spike_trains(trains, np.repeat(np.arange(10), n_t))
+        tracemalloc.start()
+        try:
+            distance_matrix(ds, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * ds.n_r**2 < 3 * 2**20
+
 
 class TestSpikeMatrixMatchesPairs:
     """The batched spike matrix equals every pair computed alone, bit for bit."""
@@ -309,6 +328,18 @@ class TestSpikeMatrixMatchesPairs:
         # 150 x 150 exponentials exceed one van Rossum block per pair
         rng = np.random.default_rng(21)
         assert_matrix_matches_pairs([np.sort(rng.uniform(0.0, 1.0, 150)) for _ in range(3)])
+
+    @pytest.mark.parametrize("block", [1, 8, 64, 300])
+    def test_small_blocks(self, monkeypatch, block):
+        # _BLOCK cells: at 1 every bucket and every vR part holds one pair; 8 to
+        # 300 split buckets and vR shape groups at different lengths, and buckets
+        # of 64 and 300 mix lengths of a, so the VP arrays narrow
+        rng = np.random.default_rng(22)
+        sizes = rng.choice([0, 1, 2, 3, 7, 40], size=17)
+        trains = [np.sort(rng.uniform(0.0, 1.0, k)) for k in sizes]
+        trains[5], trains[11] = trains[2].copy(), np.array([])
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        assert_matrix_matches_pairs(trains)
 
     def test_single_train(self):
         for train in ([], [0.25, 0.5]):
