@@ -167,28 +167,26 @@ _BLOCK = 1 << 13  # cells of a working array, whatever the number of trains
 def _spike_values(trains, metric_pairs, param) -> np.ndarray:
     """Symmetric, zero-diagonal distance matrix of spike trains, a bucket of pairs at a time.
 
-    ``metric_pairs(columns, sizes, param)`` gives (order, pairs): pairs(a, b)
-    are the distances of trains a[p] and b[p], a before b in ``order``.  The
-    pairs run in order of (len(b), b, a); a bucket is the longest run whose
-    pairs, len(b) + 1 rows each for its last and longest b, fill <= ``_BLOCK`` cells.
+    ``metric_pairs(columns, sizes, param)`` gives pairs(a, b), the distances of trains
+    a[p] and b[p], a the earlier by length, then spike by spike.  Sorted so, the upper
+    triangle fills column by column and len(b) never falls; a bucket is the longest run
+    whose pairs, len(b) + 1 rows each for its last b, fill <= ``_BLOCK`` cells.
     """
     sizes = np.array([len(t) for t in trains], dtype=np.intp)
     columns = np.zeros((int(sizes.max(initial=0)) + 1, sizes.size))  # trains, zero-padded
     for k, t in enumerate(trains):
         columns[: sizes[k], k] = t
-    order, pairs = metric_pairs(columns, sizes, param)
+    pairs = metric_pairs(columns, sizes, param)
+    order = np.lexsort(np.vstack([columns[::-1], sizes]))  # by length, then spikes
     values = np.zeros((sizes.size, sizes.size), dtype=np.float64)
-    ahead = np.argsort(order, kind="stable")  # how many trains come before each in `order`
-    by_size = np.argsort(sizes, kind="stable")
-    ends = np.cumsum(ahead[by_size])  # pair p has b = by_size[t], t the first with ends[t] > p
-    rows = sizes[by_size] + 1
+    ends = np.cumsum(np.arange(sizes.size))  # pair p: b = order[t], t the first with ends[t] > p
+    rows = sizes[order] + 1
     lo = 0
     while lo < ends[-1]:
         most = max(1, _BLOCK // rows[np.searchsorted(ends, lo, side="right")])
         t = np.searchsorted(ends, np.arange(lo, min(ends[-1], lo + most)), side="right")
         t = t[: max(1, np.count_nonzero(rows[t] * np.arange(1, t.size + 1) <= _BLOCK))]
-        b = by_size[t]
-        a = order[np.arange(lo, lo + t.size) - ends[t] + ahead[b]]
+        a, b = order[np.arange(lo, lo + t.size) - ends[t] + t], order[t]
         values[a, b] = values[b, a] = pairs(a, b)
         lo += t.size
     return values
@@ -202,7 +200,7 @@ def _narrow(array: np.ndarray, width: int, buffer: np.ndarray):
 
 
 def _vp_pairs(columns, sizes, q: float):
-    """(order, pairs): Victor-Purpura distances from each train a[p] to b[p], a the lower index.
+    """pairs(a, b): Victor-Purpura distances that transform each train a[p] into b[p].
 
     The dynamic program runs one spike of each ``a`` per step, for all pairs at
     once, over the rows of the longest ``b``: entry j depends only on entries
@@ -244,7 +242,7 @@ def _vp_pairs(columns, sizes, q: float):
         dist[order[:k]] = prev[lb[:k], np.arange(k)]
         return dist
 
-    return np.arange(sizes.size), pairs
+    return pairs
 
 
 def victor_purpura_distance(a, b, q: float) -> float:
@@ -252,17 +250,18 @@ def victor_purpura_distance(a, b, q: float) -> float:
 
     Minimal-cost transformation of train ``a`` into train ``b`` where deleting
     or inserting a spike costs 1 and moving a spike by dt costs q * |dt|.
-    Computed by the O(len(a) * len(b)) dynamic program that fills ``distance_matrix``.
+    Computed by the O(len(a) * len(b)) dynamic program of ``distance_matrix``, exactly symmetric.
     """
-    return float(_spike_values([a, b], _vp_pairs, q)[0, 1])
+    trains = [ResponsePoint(t, SPIKE).values for t in (a, b)]
+    return float(_spike_values(trains, _vp_pairs, MetricSpec.victor_purpura(q).q)[0, 1])
 
 
 def _vr_pairs(columns, sizes, tau: float):
-    """(order, pairs): van Rossum distances between trains a[p] and b[p].
+    """pairs(a, b): van Rossum distances between trains a[p] and b[p].
 
     The order of a sum changes its last bits, which near-equal trains cancel up
-    into the distance; so ``order`` is lexicographic and each cross sum takes the
-    smaller train's spikes first, which makes the distance exactly symmetric.
+    into the distance; so each cross sum takes a's spikes first, a the earlier
+    train in ``_spike_values``' order, which makes the distance exactly symmetric.
     Each pair's exponentials are summed as one contiguous row, as for a lone pair.
     """
 
@@ -288,7 +287,7 @@ def _vr_pairs(columns, sizes, tau: float):
     def pairs(a, b):
         return np.sqrt(np.maximum(0.5 * (selfs[a] + selfs[b] - 2.0 * kernel_sums(a, b)), 0.0))
 
-    return np.lexsort(np.vstack([columns[::-1], sizes])), pairs  # by length, then spikes
+    return pairs
 
 
 def van_rossum_distance(a, b, tau: float) -> float:
@@ -299,7 +298,8 @@ def van_rossum_distance(a, b, tau: float) -> float:
     closed form through pairwise exp(-|t_i - t_j|/tau) sums; no time grid is
     involved.  A bucket of one pair of the code that fills ``distance_matrix``.
     """
-    return float(_spike_values([a, b], _vr_pairs, tau)[0, 1])
+    trains = [ResponsePoint(t, SPIKE).values for t in (a, b)]
+    return float(_spike_values(trains, _vr_pairs, MetricSpec.van_rossum(tau).tau)[0, 1])
 
 
 def _check_variant(kind: str, m: MetricSpec) -> None:

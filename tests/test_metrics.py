@@ -58,10 +58,15 @@ def vr_oracle(a, b, tau):
     return math.sqrt(trapezoid(diff * diff, t) / tau)
 
 
+def canonical(a, b):
+    """The two trains as arrays, the earlier by length, then spike by spike, first."""
+    pair = [np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)]
+    return sorted(pair, key=lambda t: (t.size, t.tolist()))
+
+
 def vp_pair(a, b, q):
     """The per-pair Victor-Purpura dynamic program, one pair at a time."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = canonical(a, b)
     n_a, n_b = a.size, b.size
     if n_a == 0 or n_b == 0:
         return float(n_a + n_b)
@@ -80,17 +85,14 @@ def vp_pair(a, b, q):
 
 def vr_pair(a, b, tau):
     """The closed-form van Rossum distance of one pair, each kernel sum taken alone."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = canonical(a, b)
 
     def kernel_sum(x, y):
         if x.size == 0 or y.size == 0:
             return 0.0
         return float(np.sum(np.exp(-np.abs(x[:, None] - y[None, :]) / tau)))
 
-    # the cross sum with the lexicographically smaller train first
-    lo, hi = sorted([a, b], key=lambda t: (t.size, t.tolist()))
-    d2 = 0.5 * (kernel_sum(a, a) + kernel_sum(b, b) - 2.0 * kernel_sum(lo, hi))
+    d2 = 0.5 * (kernel_sum(a, a) + kernel_sum(b, b) - 2.0 * kernel_sum(a, b))
     return math.sqrt(max(d2, 0.0))
 
 
@@ -116,9 +118,9 @@ def assert_matrix_matches_pairs(trains):
     for m, pair in SPIKE_METRICS:
         got = distance_matrix(ds, m).values
         assert np.array_equal(got, pairwise_matrix(ds.trains, pair)), m
-        # entry [i, j] is the scalar distance from the lower index to the higher
         for j in {len(trains) // 2, len(trains) - 1}:
             assert distance(ds.point(0), ds.point(j), m) == got[0, j] == got[j, 0], m
+            assert distance(ds.point(j), ds.point(0), m) == got[0, j], m
 
 
 class TestEuclidean:
@@ -154,9 +156,7 @@ class TestVictorPurpura:
 
     @given(spike_trains, spike_trains, st.floats(0.0, 10.0))
     def test_symmetric(self, a, b, q):
-        assert victor_purpura_distance(a, b, q) == pytest.approx(
-            victor_purpura_distance(b, a, q), abs=1e-12
-        )
+        assert victor_purpura_distance(a, b, q) == victor_purpura_distance(b, a, q)
 
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(12)
@@ -191,9 +191,7 @@ class TestVanRossum:
     @given(spike_trains, spike_trains, st.floats(0.1, 5.0))
     @settings(max_examples=50)
     def test_symmetric(self, a, b, tau):
-        assert van_rossum_distance(a, b, tau) == pytest.approx(
-            van_rossum_distance(b, a, tau), abs=1e-12
-        )
+        assert van_rossum_distance(a, b, tau) == van_rossum_distance(b, a, tau)
 
     def test_empty_vs_single(self):
         # lone spike has squared norm 1/2 under the normalized kernel
@@ -212,6 +210,20 @@ class TestMetricSpec:
             MetricSpec("euclidean", q=1.0)
         with pytest.raises(ValueError):
             MetricSpec("unknown")
+
+    @pytest.mark.parametrize("metric, a, b, param", [
+        (victor_purpura_distance, [0.1], [0.3], -5.0),
+        (van_rossum_distance, [0.1], [0.3], -1.0),
+        (van_rossum_distance, [0.1], [0.3], 0.0),
+        (victor_purpura_distance, [0.1, math.nan], [0.3], 1.0),
+        (van_rossum_distance, [0.1], [math.nan], 0.5),
+        (victor_purpura_distance, [0.2, 0.1], [0.3], 1.0),
+        (van_rossum_distance, [0.3], [0.2, 0.1], 0.5),
+    ], ids=["vp-negative-q", "vr-negative-tau", "vr-zero-tau", "vp-nan-spike",
+            "vr-nan-spike", "vp-unsorted", "vr-unsorted"])
+    def test_scalar_spike_distances_reject_bad_input(self, metric, a, b, param):
+        with pytest.raises(ValueError):
+            metric(a, b, param)
 
     def test_variant_mismatch(self):
         vec = ResponsePoint([1.0], "vector")
@@ -302,6 +314,38 @@ class TestDistanceMatrix:
         finally:
             tracemalloc.stop()
         assert peak - 8 * ds.n_r**2 < 3 * 2**20
+
+
+class TestPermutationEquivariance:
+    """Permuting the points permutes the matrix, bit for bit: no entry depends on file order."""
+
+    @pytest.mark.parametrize("m", [m for m, _ in SPIKE_METRICS],
+                             ids=["vp-q0", "vp-q1", "vp-q10", "vr-tau0.02"])
+    @given(st.lists(st.lists(st.integers(0, 10**6).map(lambda k: k / 1e6), max_size=8)
+                    .map(sorted), min_size=1, max_size=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_spike_trains(self, m, pool, data):
+        # spike times with full mantissas; picks from the pool, with an empty
+        # train in it, repeat trains
+        pool = pool + [[]]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+        trains = [pool[k] for k in picks]
+        perm = data.draw(st.permutations(range(len(trains))))
+        ds = LabeledDataset.from_spike_trains(trains, [0] * len(trains))
+        moved = LabeledDataset.from_spike_trains([trains[k] for k in perm], [0] * len(trains))
+        want = distance_matrix(ds, m).values[np.ix_(perm, perm)]
+        assert np.array_equal(distance_matrix(moved, m).values, want)
+
+    @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1,
+                    max_size=10), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_euclidean_points(self, points, data):
+        points = points + points[:2]
+        perm = data.draw(st.permutations(range(len(points))))
+        ds = LabeledDataset.from_vectors(points, [0] * len(points))
+        moved = LabeledDataset.from_vectors([points[k] for k in perm], [0] * len(points))
+        want = distance_matrix(ds, MetricSpec.euclidean()).values[np.ix_(perm, perm)]
+        assert np.array_equal(distance_matrix(moved, MetricSpec.euclidean()).values, want)
 
 
 class TestSpikeMatrixMatchesPairs:

@@ -13,7 +13,12 @@ change in a distance matrix, the CSV that ``metricmi distances`` writes for
 each spike-estimate input file at seeds 0-2 is compared too, under
 Victor-Purpura at q=0 and q=10 and van Rossum at tau=0.02.  Every output's
 SHA-256 is compared (327 outputs in all); the names that differ, or exist on
-one side only, are printed, and the exit status is 1 if there are any.
+one side only, are printed, and the exit status is 1 if there are any.  A
+changed ``.csv`` output is also sized: how many of its comma-separated entries
+differ, out of how many, and the largest relative difference among them.
+
+Run with ``--parent`` set to this same checkout, the tool checks that every
+output is byte-identical across two interpreters.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ MATRICES = {
 
 
 def digests(checkout: Path, workdir: Path) -> dict:
-    """Output name -> SHA-256 of every op of the set, run in ``checkout``."""
+    """Output name -> SHA-256 of every op of the set, run in ``checkout``.
+
+    Each ``.csv`` output is also kept, as ``workdir/kept/<name>``.
+    """
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import metricmi
     from harness import Runner
@@ -54,7 +62,11 @@ def digests(checkout: Path, workdir: Path) -> dict:
         if result.problems:
             raise SystemExit(f"error: {where}/{op.key}: {result.problems}")
         for file, raw in result.outputs.items():
-            out[f"{where}/{op.key}/{file}"] = hashlib.sha256(raw).hexdigest()
+            name = f"{where}/{op.key}/{file}"
+            out[name] = hashlib.sha256(raw).hexdigest()
+            if name.endswith(".csv"):
+                (workdir / "kept" / name).parent.mkdir(parents=True, exist_ok=True)
+                (workdir / "kept" / name).write_bytes(raw)
 
     for name, seeds in SEEDS.items():
         workload = WORKLOADS[name]
@@ -76,18 +88,33 @@ def digests(checkout: Path, workdir: Path) -> dict:
     return out
 
 
-def run_side(checkout: Path) -> dict:
+def run_side(checkout: Path, workdir: Path) -> dict:
     """``digests`` of ``checkout``, computed in a fresh interpreter."""
     code = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
             "import compare_outputs as c; "
             "print(json.dumps(c.digests(Path(sys.argv[2]), Path(sys.argv[3]))))")
-    with tempfile.TemporaryDirectory() as workdir:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(ROOT / "tools"), str(checkout), workdir],
-            cwd=checkout, capture_output=True, text=True)
+    workdir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools"), str(checkout), str(workdir)],
+        cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: the run in {checkout} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def csv_change(old: str, new: str) -> str:
+    """How many comma-separated entries of two CSV texts differ, and by how much."""
+    old, new = ([line.split(",") for line in text.splitlines()] for text in (old, new))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return "rows or columns differ"
+    moved = [(x, y) for row, other in zip(old, new) for x, y in zip(row, other) if x != y]
+    count = f"{len(moved)} of {sum(map(len, old))} entries differ"
+    try:
+        moved = [(float(x), float(y)) for x, y in moved]
+    except ValueError:
+        return f"{count}, not all of them numbers"
+    worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in moved if x != y), default=0.0)
+    return f"{count}, largest relative difference {worst:.3g}"
 
 
 def main(argv=None) -> int:
@@ -95,11 +122,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path,
                         help="checkout of the parent commit")
     args = parser.parse_args(argv)
-    parent, change = run_side(args.parent.resolve()), run_side(ROOT)
-    differ = sorted(name for name in parent.keys() | change.keys()
-                    if parent.get(name) != change.get(name))
-    for name in differ:
-        print(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = Path(tmp) / "parent", Path(tmp) / "change"
+        parent, change = run_side(args.parent.resolve(), sides[0]), run_side(ROOT, sides[1])
+        differ = sorted(name for name in parent.keys() | change.keys()
+                        if parent.get(name) != change.get(name))
+        for name in differ:
+            if name.endswith(".csv") and name in parent and name in change:
+                old, new = ((side / "kept" / name).read_text() for side in sides)
+                print(f"{name}: {csv_change(old, new)}")
+            else:
+                print(name)
     print(f"{len(differ)} of {len(parent.keys() | change.keys())} outputs differ")
     return 1 if differ else 0
 
