@@ -20,11 +20,10 @@ from .estimators import (
     KsgConfig,
     NeighborTable,
     bin_ids,
-    contingency,
     kernel_bits_from_counts,
     ksg_bits,
     ksg_mi,
-    plugin_mi_bits,
+    plugin_bits,
 )
 from .metrics import DistanceMatrix
 
@@ -126,8 +125,11 @@ def subsample_curve(
     KSG count every subsample in one NeighborTable of the full matrix, which
     gives the same bits as estimating each subsample on its own submatrix;
     the table reads the prefix of the matrix's ``order`` that counts need,
-    kept with it.
+    kept with it.  A histogram bins the points once and evaluates all
+    subsamples together in ``plugin_bits``, bitwise equal to ``histogram_mi``
+    on each subsample.
     """
+    subsets = [s for _, group in draws for s in group]
     if isinstance(config, KernelConfig):
         if dm is None:
             raise ValueError("kernel estimation needs a distance matrix")
@@ -137,14 +139,9 @@ def subsample_curve(
             n_h = _sub_bandwidth(config, d.n_r, subset.size)
             return kernel_bits_from_counts(table.kernel_counts(n_h, subset), d.n_s, n_h)
 
+        bits = map(estimate, subsets)
     elif isinstance(config, HistogramConfig):
-        ids = bin_ids(d.vectors, config)
-        n_bins = int(ids.max()) + 1
-
-        def estimate(subset: np.ndarray) -> float:
-            table = contingency(ids[subset], d.labels[subset], n_bins, d.n_s)
-            return plugin_mi_bits(table[table.any(axis=1)])
-
+        bits = plugin_bits(bin_ids(d.vectors, config), d.labels, d.n_s, subsets)
     elif isinstance(config, KsgConfig):
         if dm is None:
             raise ValueError("ksg estimation needs a distance matrix")
@@ -155,12 +152,14 @@ def subsample_curve(
                 return ksg_mi(d, dm, config).bits
             return ksg_bits(table, config, d.n_s, subset)
 
+        bits = map(estimate, subsets)
     else:
         raise TypeError(f"unsupported estimator config {type(config).__name__}")
 
+    bits = iter(bits)
     return [
-        (n_t_sub, float(np.mean(np.asarray([estimate(s) for s in subsets]))))
-        for n_t_sub, subsets in draws
+        (n_t_sub, float(np.mean(np.asarray([next(bits) for _ in group]))))
+        for n_t_sub, group in draws
     ]
 
 

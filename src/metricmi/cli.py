@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="kernel bandwidth as a mass fraction in (0, 1]")
     est.add_argument("--nk", type=int, default=None, help="kNN neighbor parameter")
     est.add_argument("--bin-width", type=float, default=None, help="histogram bin width")
-    est.add_argument("--origin", type=float, default=0.0,
+    est.add_argument("--origin", type=float, default=None,
                      help="histogram bin anchor (default 0)")
     est.add_argument("--bias-correct", action="store_true",
                      help="extrapolate the 1/n_t bias expansion from subsamples")
@@ -137,6 +137,27 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=_cmd_benchmark)
 
     return parser
+
+
+def _check_flags(args, parser) -> None:
+    # a flag given where nothing reads it is a usage error, not silently dropped
+    rules = [
+        ("--q", args.q, args.metric == "victor-purpura", "--metric victor-purpura"),
+        ("--tau", args.tau, args.metric == "van-rossum", "--metric van-rossum"),
+    ]
+    if args.command == "estimate":
+        kernel = not (args.ksg or args.histogram)
+        rules += [
+            ("--nh", args.nh, kernel, "the kernel estimator"),
+            ("--h-frac", args.h_frac, kernel, "the kernel estimator"),
+            ("--nk", args.nk, args.ksg, "--ksg"),
+            ("--bin-width", args.bin_width, args.histogram, "--histogram"),
+            ("--origin", args.origin, args.histogram, "--histogram"),
+            ("--metric", args.metric, not args.histogram, "the kernel and KSG estimators"),
+        ]
+    for flag, value, read, reader in rules:
+        if value is not None and not read:
+            parser.error(f"{flag} applies only to {reader}")
 
 
 def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
@@ -173,6 +194,7 @@ def _cmd_gen_toy(args, parser) -> int:
 
 
 def _cmd_distances(args, parser) -> int:
+    _check_flags(args, parser)
     dataset = load_dataset(args.input, args.format)
     metric = _metric_from_args(args, dataset.kind, parser)
     try:
@@ -184,6 +206,7 @@ def _cmd_distances(args, parser) -> int:
 
 
 def _cmd_estimate(args, parser) -> int:
+    _check_flags(args, parser)
     dataset = load_dataset(args.input, args.format)
     try:
         out = _estimate(args, parser, dataset)
@@ -209,7 +232,8 @@ def _estimate(args, parser, dataset) -> dict:
     if args.histogram:
         if args.bin_width is None:
             parser.error("--histogram requires --bin-width")
-        config = HistogramConfig(width=args.bin_width, origin=args.origin)
+        origin = 0.0 if args.origin is None else args.origin
+        config = HistogramConfig(width=args.bin_width, origin=origin)
         estimate = histogram_mi(dataset, config)
         dm = None
     else:

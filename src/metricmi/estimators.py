@@ -300,8 +300,11 @@ def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstima
 def bin_ids(vectors: np.ndarray, config: HistogramConfig) -> np.ndarray:
     """Dense ids of the occupied bins, one per point, in lexicographic bin order.
 
-    Raises ValueError when a cell index is not finite or does not fit in
-    int64, where a cast would send distinct cells to one bin.
+    The integer cells are lexsorted once, first dimension first, and each
+    point takes the number of distinct cells before its own: the inverse
+    ``np.unique(cells, axis=0)`` gives, without its row-view sort.  Raises
+    ValueError when a cell index is not finite or does not fit in int64,
+    where a cast would send distinct cells to one bin.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cells = np.floor((vectors - config.origin) / config.width)
@@ -311,33 +314,69 @@ def bin_ids(vectors: np.ndarray, config: HistogramConfig) -> np.ndarray:
             f"and origin {config.origin!r}"
         )
     cells = cells.astype(np.int64)
-    _, inverse = np.unique(cells, axis=0, return_inverse=True)
-    return inverse.reshape(-1)
+    order = np.lexsort(cells.T[::-1])
+    ranked = cells[order]
+    new = np.ones(order.size, dtype=bool)  # the first point of each cell
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(new) - 1
+    return ids
 
 
-def plugin_mi_bits(table: np.ndarray) -> float:
-    """Plug-in MI in bits of a (response-bin, stimulus) contingency table."""
-    total = table.sum()
-    joint = table / total
-    p_bin = joint.sum(axis=1)
-    p_stim = joint.sum(axis=0)
-    occupied = table > 0
-    ratio = joint[occupied] / (p_bin[:, None] * p_stim[None, :])[occupied]
-    return float(np.sum(joint[occupied] * np.log2(ratio)))
+# cells of the dense (subset, bin, stimulus) tables that plugin_bits counts at
+# once: a curve's subsamples all at once, over many bins, would hold their
+# tables together, not one chunk's
+_CHUNK_CELLS = 2**12
 
 
-def contingency(ids: np.ndarray, labels: np.ndarray, n_bins: int, n_s: int) -> np.ndarray:
-    counts = np.bincount(ids * n_s + labels, minlength=n_bins * n_s)
-    return counts.reshape(n_bins, n_s).astype(np.float64)
+def plugin_bits(ids: np.ndarray, labels: np.ndarray, n_s: int, subsets) -> list[float]:
+    """Plug-in MI in bits of each subset's (bin, stimulus) contingency table.
+
+    ``ids`` are dense bin ids (``bin_ids``) and ``subsets`` index arrays of
+    points.  The tables of a chunk of subsets, at most ``_CHUNK_CELLS``
+    cells and at least one subset, come from one ``np.bincount``; each
+    subset's bits are one sum over its own occupied cells in row-major
+    order, so they equal evaluating its table alone, bit for bit.
+    """
+    n_bins = int(ids.max()) + 1
+    cells = n_bins * n_s
+    step = max(1, _CHUNK_CELLS // cells)
+    bits = []
+    for start in range(0, len(subsets), step):
+        chunk = subsets[start : start + step]
+        sizes = np.array([subset.size for subset in chunk])
+        members = np.concatenate(chunk)
+        keys = np.repeat(np.arange(len(chunk)) * cells, sizes)
+        keys += ids[members] * n_s + labels[members]
+        counts = np.bincount(keys, minlength=len(chunk) * cells)
+        counts = counts.reshape(len(chunk), n_bins, n_s)
+        joint = counts / sizes.astype(np.float64)[:, None, None]
+        k, b, s = np.nonzero(counts)
+        p = joint[k, b, s]
+        ends = np.cumsum(np.bincount(k, minlength=len(chunk))).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        p_bin = joint.sum(axis=2)
+        if n_s > 1:
+            # added bin by bin in order, as on a table alone: empty bins add 0
+            p_stim = joint.sum(axis=1)
+        else:
+            # numpy sums a single column pairwise, so over the occupied bins only
+            p_stim = np.array([[p[a:e].sum()] for a, e in spans])
+        terms = p * np.log2(p / (p_bin[k, b] * p_stim[k, s]))
+        bits += [float(terms[a:e].sum()) for a, e in spans]
+    return bits
 
 
 def histogram_mi(d: LabeledDataset, config: HistogramConfig) -> MiEstimate:
-    """Plug-in MI over fixed-width bins: floor((x - origin) / width) per dimension."""
+    """Plug-in MI over fixed-width bins: floor((x - origin) / width) per dimension.
+
+    Evaluated by ``plugin_bits`` on the one subset of all points, the code
+    that every subsample of a histogram bias curve runs.
+    """
     if d.kind != VECTOR:
         raise MixedVariantError("histogram estimator requires vector responses")
     ids = bin_ids(d.vectors, config)
-    table = contingency(ids, d.labels, int(ids.max()) + 1, d.n_s)
-    bits = plugin_mi_bits(table)
+    bits = plugin_bits(ids, d.labels, d.n_s, [np.arange(d.n_r)])[0]
     return MiEstimate(
         bits, "histogram", {"width": config.width, "origin": config.origin}
     )

@@ -1,6 +1,7 @@
 """Subsample curves and the quadratic extrapolation in 1/n_t."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from metricmi import (
     subsample_draws,
     subsample_indices,
 )
-from metricmi import derived_seed
+from metricmi import derived_seed, estimators
+from metricmi.estimators import bin_ids
+from metricmi.toybench import DEFAULT_WIDTHS
 
 
 def toy(rng, n_s=3, n_t=20, n_d=2, duplicates=False):
@@ -176,6 +179,52 @@ class TestSubsampleCurve:
                     idx = subsample_indices(ds, lam, derived_seed(9, 0, ri))
                     direct.append(histogram_mi(ds.take(idx), cfg).bits)
             assert curve[0][1] == float(np.mean(np.asarray(direct)))
+
+    @pytest.mark.parametrize("cells", [1, 2**30], ids=["chunks-of-one", "one-chunk"])
+    @pytest.mark.parametrize("repeats", [1, 5, 10])
+    @pytest.mark.parametrize("n_s", [10, 1])
+    def test_histogram_curve_equals_per_subset_oracle(self, monkeypatch, cells, repeats, n_s):
+        # the plug-in formula on each subset's own table, empty bins dropped;
+        # the batched curve must equal it bit for bit however subsets are chunked
+        def oracle(ids, labels, subset):
+            n_bins = int(ids.max()) + 1
+            table = np.bincount(ids[subset] * n_s + labels[subset], minlength=n_bins * n_s)
+            table = table.reshape(n_bins, n_s).astype(np.float64)
+            table = table[table.any(axis=1)]
+            joint = table / table.sum()
+            p_bin, p_stim = joint.sum(axis=1), joint.sum(axis=0)
+            occupied = table > 0
+            ratio = joint[occupied] / (p_bin[:, None] * p_stim[None, :])[occupied]
+            return float(np.sum(joint[occupied] * np.log2(ratio)))
+
+        monkeypatch.setattr(estimators, "_CHUNK_CELLS", cells)
+        ds, _ = toy(np.random.default_rng(30), n_s=n_s, n_t=20, n_d=3)
+        draws = subsample_draws(ds, None, repeats, 3)
+        own, shared = HistogramConfig(width=1e-6), HistogramConfig(width=1e6, origin=-5e5)
+        assert bin_ids(ds.vectors, own).max() == ds.n_r - 1  # every point its own bin
+        assert bin_ids(ds.vectors, shared).max() == 0  # all of them in one
+        for cfg in [*(HistogramConfig(width=w) for w in DEFAULT_WIDTHS), own, shared]:
+            ids = bin_ids(ds.vectors, cfg)
+            want = [
+                (n_t_sub, float(np.mean(np.asarray([oracle(ids, ds.labels, s) for s in subsets]))))
+                for n_t_sub, subsets in draws
+            ]
+            assert subsample_curve(ds, None, cfg, draws) == want
+
+    def test_histogram_curve_memory_is_bounded(self):
+        # tables come a bounded chunk of subsets at a time: nearly every one of
+        # 5000 points has its own bin, 50 000 cells per subset
+        rng = np.random.default_rng(31)
+        ds = LabeledDataset.from_vectors(rng.normal(size=(5000, 3)), np.repeat(np.arange(10), 500))
+        draws = subsample_draws(ds, None, 10, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            subsample_curve(ds, None, HistogramConfig(width=0.02), draws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_ksg_curve(self):
         ds, dm = toy(np.random.default_rng(7), n_s=2, n_t=10)

@@ -261,6 +261,30 @@ class TestEstimate:
             run_cli(["estimate", "--input", str(data), "--nh", "5", "--h-frac", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--kernel", "--nk", "3"], "--nk"),
+        (["estimate", "--ksg", "--nk", "2", "--nh", "3"], "--nh"),
+        (["estimate", "--ksg", "--nk", "2", "--h-frac", "0.5"], "--h-frac"),
+        (["estimate", "--kernel", "--bin-width", "1"], "--bin-width"),
+        (["estimate", "--origin", "0.5"], "--origin"),
+        (["estimate", "--histogram", "--bin-width", "1", "--nh", "3"], "--nh"),
+        (["estimate", "--histogram", "--bin-width", "1", "--metric", "van-rossum",
+          "--tau", "1"], "--metric"),
+        (["estimate", "--histogram", "--bin-width", "1", "--q", "1"], "--q"),
+        (["estimate", "--metric", "euclidean", "--q", "1"], "--q"),
+        (["estimate", "--metric", "victor-purpura", "--q", "1", "--tau", "1"], "--tau"),
+        (["distances", "--metric", "van-rossum", "--tau", "1", "--q", "1"], "--q"),
+        (["distances", "--tau", "1"], "--tau"),
+    ])
+    def test_flag_nothing_reads_is_usage_error(self, tmp_path, capsys, argv, flag):
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--input", str(data), "-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"error: {flag} applies only to " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["estimate", "--bogus"])

@@ -25,7 +25,7 @@ from metricmi import (
     neighbor_count_C,
     neighbor_count_c,
 )
-from metricmi.estimators import NeighborTable
+from metricmi.estimators import NeighborTable, bin_ids
 
 mpmath.mp.dps = 30
 
@@ -341,6 +341,26 @@ class TestHistogramMi:
         X = [[-9e18], [-9e18], [9e18], [9e18]]
         ds = LabeledDataset.from_vectors(X, [0, 0, 1, 1])
         assert histogram_mi(ds, HistogramConfig(width=1.0)).bits == 1.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bin_ids_equal_the_unique_inverse(self, data):
+        # np.unique's inverse over the int64 cells is the oracle: duplicate
+        # points, negative cells and cells near the int64 limits
+        n_d = data.draw(st.integers(1, 4))
+        width = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        value = st.one_of(
+            st.floats(-5.0, 5.0),
+            st.integers(-2**53, 2**53).map(float),
+            st.sampled_from([-9.2e18, -9e18, 9e18, 9.2e18]).map(lambda cell: cell * width),
+        )
+        pool = data.draw(st.lists(st.lists(value, min_size=n_d, max_size=n_d),
+                                  min_size=1, max_size=6))
+        X = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
+        config = HistogramConfig(width=width)
+        cells = np.floor(X / config.width).astype(np.int64)
+        _, inverse = np.unique(cells, axis=0, return_inverse=True)
+        assert np.array_equal(bin_ids(X, config), inverse.reshape(-1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,12 @@ records.csv, summary.json, scatter.dat and the printed summary of every
 toy-benchmark op at seeds 0-2.  Since an estimate cannot show a last-bit
 change in a distance matrix, the CSV that ``metricmi distances`` writes for
 each spike-estimate input file at seeds 0-2 is compared too, under
-Victor-Purpura at q=0 and q=10 and van Rossum at tau=0.02.  Every output's
-SHA-256 is compared (327 outputs in all); the names that differ, or exist on
+Victor-Purpura at q=0 and q=10 and van Rossum at tau=0.02.  Since records.csv
+and summary.json carry only the best histogram width, and no op runs the
+histogram estimator from the command line, the JSON that ``metricmi estimate
+--histogram --bin-width W --bias-correct`` prints for W = 0.5 and 3.0 on each
+vector-estimate input file at seeds 0-2 is compared as well.  Every output's
+SHA-256 is compared (345 outputs in all); the names that differ, or exist on
 one side only, are printed, and the exit status is 1 if there are any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
 differ, out of how many, and the largest relative difference among them.
@@ -35,6 +39,8 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"vector-estimate": range(5), "spike-estimate": range(1), "toy-benchmark": range(3)}
 MATRIX_SEEDS = range(3)
+HISTOGRAM_SEEDS = range(3)
+HISTOGRAM_WIDTHS = ("0.5", "3.0")
 MATRICES = {
     "vp-q0.csv": ("--metric", "victor-purpura", "--q", "0"),
     "vp-q10.csv": ("--metric", "victor-purpura", "--q", "10"),
@@ -76,15 +82,25 @@ def digests(checkout: Path, workdir: Path) -> dict:
             runner = Runner(workload, workdir / "out")
             for op in workload.prepare(seed, inputs):
                 run(runner, f"{name}/seed{seed}", op)
-    for seed in MATRIX_SEEDS:
-        inputs = workdir / f"spike-matrices-{seed}"
+    def sources(workload, seed, where):
+        # a runner of its own, and (op key, input file) of each op of the workload
+        inputs = workdir / f"{where}-{seed}"
         inputs.mkdir()
         runner = Runner(SimpleNamespace(check=lambda outputs: []), workdir / "out")
-        for op in WORKLOADS["spike-estimate"].prepare(seed, inputs):
-            source = op.calls[0][op.calls[0].index("--input") + 1]
-            run(runner, f"spike-matrices/seed{seed}", Op(op.key, tuple(
+        for op in WORKLOADS[workload].prepare(seed, inputs):
+            yield runner, op.key, op.calls[0][op.calls[0].index("--input") + 1]
+
+    for seed in MATRIX_SEEDS:
+        for runner, key, source in sources("spike-estimate", seed, "spike-matrices"):
+            run(runner, f"spike-matrices/seed{seed}", Op(key, tuple(
                 ("distances", "--input", source, "--format", "spike-text", *flags,
                  "-o", f"{{out}}/{file}") for file, flags in MATRICES.items())))
+    for seed in HISTOGRAM_SEEDS:
+        for runner, key, source in sources("vector-estimate", seed, "histogram"):
+            for width in HISTOGRAM_WIDTHS:
+                run(runner, f"histogram/seed{seed}", Op(f"{key}-w{width}", ((
+                    "estimate", "--input", source, "--histogram", "--bin-width", width,
+                    "--bias-correct"),)))
     return out
 
 
