@@ -140,7 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args, parser) -> None:
-    # a flag given where nothing reads it is a usage error, not silently dropped
+    # a flag given where nothing reads it is a usage error, not silently
+    # dropped; so is a flag missing where it is read.  Both are reported
+    # before the input is read
     rules = [
         ("--q", args.q, args.metric == "victor-purpura", "--metric victor-purpura"),
         ("--tau", args.tau, args.metric == "van-rossum", "--metric van-rossum"),
@@ -158,6 +160,11 @@ def _check_flags(args, parser) -> None:
     for flag, value, read, reader in rules:
         if value is not None and not read:
             parser.error(f"{flag} applies only to {reader}")
+    for flag, value, read, reader in rules:
+        if value is None and read and flag in ("--q", "--tau", "--nk", "--bin-width"):
+            parser.error(f"{reader} requires {flag}")
+    if args.command == "estimate" and args.nh is not None and args.h_frac is not None:
+        parser.error("give at most one of --nh and --h-frac")
 
 
 def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
@@ -168,11 +175,7 @@ def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
     if args.metric == "euclidean":
         return MetricSpec.euclidean()
     if args.metric == "victor-purpura":
-        if args.q is None:
-            parser.error("--metric victor-purpura requires --q")
         return MetricSpec.victor_purpura(args.q)
-    if args.tau is None:
-        parser.error("--metric van-rossum requires --tau")
     return MetricSpec.van_rossum(args.tau)
 
 
@@ -230,8 +233,6 @@ def _cmd_estimate(args, parser) -> int:
 
 def _estimate(args, parser, dataset) -> dict:
     if args.histogram:
-        if args.bin_width is None:
-            parser.error("--histogram requires --bin-width")
         origin = 0.0 if args.origin is None else args.origin
         config = HistogramConfig(width=args.bin_width, origin=origin)
         estimate = histogram_mi(dataset, config)
@@ -239,13 +240,9 @@ def _estimate(args, parser, dataset) -> dict:
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
         if args.ksg:
-            if args.nk is None:
-                parser.error("--ksg requires --nk")
             config = KsgConfig(n_k=args.nk)
             estimator = ksg_mi
         else:
-            if args.nh is not None and args.h_frac is not None:
-                parser.error("give at most one of --nh and --h-frac")
             if args.nh is not None:
                 config = KernelConfig(n_h=args.nh)
             elif args.h_frac is not None:

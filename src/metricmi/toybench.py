@@ -102,17 +102,22 @@ def generate_toy(spec: ToySpec) -> tuple[LabeledDataset, np.ndarray, float]:
     return LabeledDataset.from_vectors(points, labels), sources, sigma2
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    # scipy.special.logsumexp(a, axis=1) (scipy 1.17.1) step for step, so
-    # bitwise equal for finite a, without its array-API dispatch, which took
-    # about a third of a 2000-sample true_mi: entries at the row max are
-    # counted as m and left out of the sum s, which is then scaled by 1/m
-    a_max = a.max(axis=1, keepdims=True)
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    # scipy.special.logsumexp(a.T, axis=1) (scipy 1.17.1) step for step, so
+    # bitwise equal for finite a, without its array-API dispatch: entries at
+    # the column max are counted as m and left out of the sum s, which is
+    # then scaled by 1/m.  a is (n_s, M) with n_s small, so every step runs
+    # along rows of M but the sum, which must add each column in scipy's
+    # order: numpy's pairwise sum over the column copied to a contiguous row
+    a_max = a.max(axis=0)
     at_max = a == a_max
-    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    m = at_max.sum(axis=0, dtype=np.float64)
+    e = a - a_max
+    np.putmask(e, at_max, -np.inf)
+    np.exp(e, out=e)
+    s = np.ascontiguousarray(e.T).sum(axis=1)
+    s /= m  # scipy divides only where s != 0; 0 / m is 0 too, as m >= 1
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def true_mi(
@@ -140,13 +145,15 @@ def true_mi(
         return math.log2(n_s)
     rng = np.random.default_rng(seed)
     which = rng.integers(0, n_s, size=mc_samples)
-    responses = sources[which] + math.sqrt(sigma2) * rng.standard_normal(
-        (mc_samples, sources.shape[1])
-    )
-    # the shared Gaussian normalization cancels between numerator and mixture
-    loglik = -cdist(responses, sources, "sqeuclidean") / (2.0 * sigma2)
-    log_mixture = _logsumexp_rows(loglik) - math.log(n_s)
-    picked = loglik[np.arange(mc_samples), which]
+    responses = rng.standard_normal((mc_samples, sources.shape[1]))
+    responses *= math.sqrt(sigma2)
+    responses += sources.take(which, axis=0)
+    # stimulus-major, (n_s, M); the shared Gaussian normalization cancels
+    # between numerator and mixture
+    loglik = cdist(sources, responses, "sqeuclidean")
+    loglik /= -2.0 * sigma2
+    log_mixture = _logsumexp_columns(loglik) - math.log(n_s)
+    picked = loglik[which, np.arange(mc_samples)]
     return float(np.mean(picked - log_mixture)) / _LN2
 
 

@@ -285,6 +285,23 @@ class TestEstimate:
         assert f"error: {flag} applies only to " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--histogram"], "--histogram requires --bin-width"),
+        (["estimate", "--ksg"], "--ksg requires --nk"),
+        (["estimate", "--nh", "5", "--h-frac", "0.5"], "give at most one of --nh and --h-frac"),
+        (["estimate", "--metric", "victor-purpura"], "--metric victor-purpura requires --q"),
+        (["estimate", "--metric", "van-rossum"], "--metric van-rossum requires --tau"),
+        (["distances", "--metric", "victor-purpura"], "--metric victor-purpura requires --q"),
+        (["distances", "--metric", "van-rossum"], "--metric van-rossum requires --tau"),
+    ], ids=["histogram", "ksg", "nh-and-h-frac", "estimate-vp", "estimate-vr",
+            "distances-vp", "distances-vr"])
+    def test_usage_error_before_input_is_read(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--input", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["estimate", "--bogus"])

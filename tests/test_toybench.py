@@ -182,14 +182,37 @@ class TestTrueMi:
          # every source twice: each row max is reached by two entries (m = 2)
          (np.repeat(np.random.default_rng(5).uniform(-0.5, 0.5, (5, 2)), 2, axis=0), 0.3),
          # just above SIGMA2_DEGENERATE: log-likelihoods near -1e9
-         (np.random.default_rng(6).uniform(-0.5, 0.5, (10, 3)), 1e-9)],
-        ids=["ns1", "ns2", "ns10", "ns10-nd10", "tied-max", "sigma2-1e-9"],
+         (np.random.default_rng(6).uniform(-0.5, 0.5, (10, 3)), 1e-9)]
+        # numpy's pairwise row sum adds fewer than 8 terms in turn, 8 to 128
+        # in 8 running sums, and more by halves: a sum in another order than
+        # scipy's shows up from 8 stimuli on
+        + [(np.random.default_rng(n_s).uniform(-0.5, 0.5, (n_s, 3)), 0.05)
+           for n_s in (7, 8, 9, 16, 17, 40, 128, 129, 300)],
+        ids=["ns1", "ns2", "ns10", "ns10-nd10", "tied-max", "sigma2-1e-9"]
+        + [f"ns{n_s}" for n_s in (7, 8, 9, 16, 17, 40, 128, 129, 300)],
     )
     def test_matches_scipy_logsumexp_bitwise(self, sources, sigma2):
-        for seed in (0, 11):
-            assert true_mi(sources, sigma2, 2000, seed) == scipy_true_mi(
-                sources, sigma2, 2000, seed
+        for mc_samples in (2000, toybench.DEFAULT_MC_SAMPLES):
+            for seed in (0, 11):
+                assert true_mi(sources, sigma2, mc_samples, seed) == scipy_true_mi(
+                    sources, sigma2, mc_samples, seed
+                )
+            # the mean absorbs most last-bit changes of one sample's log-mixture,
+            # so compare those too, against scipy on a sample-major array
+            responses = np.random.default_rng(mc_samples).uniform(
+                -1.0, 1.0, (mc_samples, sources.shape[1])
             )
+            loglik = -cdist(sources, responses, "sqeuclidean") / (2.0 * sigma2)
+            assert np.array_equal(
+                toybench._logsumexp_columns(loglik),
+                logsumexp(np.ascontiguousarray(loglik.T), axis=1),
+            )
+
+    def test_leaves_sources_unmodified(self):
+        sources = np.random.default_rng(7).uniform(-0.5, 0.5, (10, 3))
+        kept = sources.copy()
+        true_mi(sources, 0.3, 2000, seed=1)
+        assert np.array_equal(sources, kept)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,12 @@ Victor-Purpura at q=0 and q=10 and van Rossum at tau=0.02.  Since records.csv
 and summary.json carry only the best histogram width, and no op runs the
 histogram estimator from the command line, the JSON that ``metricmi estimate
 --histogram --bin-width W --bias-correct`` prints for W = 0.5 and 3.0 on each
-vector-estimate input file at seeds 0-2 is compared as well.  Every output's
-SHA-256 is compared (345 outputs in all); the names that differ, or exist on
+vector-estimate input file at seeds 0-2 is compared as well.  Since every
+toy-benchmark op has 10 stimuli and 2000 Monte-Carlo samples, the four outputs
+of one unpruned ``metricmi benchmark`` at 40 stimuli and the default 10 000
+samples are compared too; at 2 dimensions and 5 datasets its true MIs show a
+last-bit change in how the log-mixture adds over stimuli.  Every output's
+SHA-256 is compared (349 outputs in all); the names that differ, or exist on
 one side only, are printed, and the exit status is 1 if there are any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
 differ, out of how many, and the largest relative difference among them.
@@ -46,6 +50,8 @@ MATRICES = {
     "vp-q10.csv": ("--metric", "victor-purpura", "--q", "10"),
     "vr-tau0.02.csv": ("--metric", "van-rossum", "--tau", "0.02"),
 }
+TRUTH = ("benchmark", "--ns", "40", "--nd", "2", "--nt", "10", "--datasets", "5",
+         "--no-prune", "--threads", "1", "-o", "{out}/bench")
 
 
 def digests(checkout: Path, workdir: Path) -> dict:
@@ -82,11 +88,14 @@ def digests(checkout: Path, workdir: Path) -> dict:
             runner = Runner(workload, workdir / "out")
             for op in workload.prepare(seed, inputs):
                 run(runner, f"{name}/seed{seed}", op)
+    def unchecked_runner():
+        return Runner(SimpleNamespace(check=lambda outputs: []), workdir / "out")
+
     def sources(workload, seed, where):
         # a runner of its own, and (op key, input file) of each op of the workload
         inputs = workdir / f"{where}-{seed}"
         inputs.mkdir()
-        runner = Runner(SimpleNamespace(check=lambda outputs: []), workdir / "out")
+        runner = unchecked_runner()
         for op in WORKLOADS[workload].prepare(seed, inputs):
             yield runner, op.key, op.calls[0][op.calls[0].index("--input") + 1]
 
@@ -101,6 +110,7 @@ def digests(checkout: Path, workdir: Path) -> dict:
                 run(runner, f"histogram/seed{seed}", Op(f"{key}-w{width}", ((
                     "estimate", "--input", source, "--histogram", "--bin-width", width,
                     "--bias-correct"),)))
+    run(unchecked_runner(), "truth", Op("benchmark-ns40", (TRUTH,)))
     return out
 
 
