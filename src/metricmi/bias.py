@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, derived_seed, subsample_indices
-from .estimators import (
-    HistogramConfig,
-    KernelConfig,
-    KsgConfig,
-    NeighborTable,
-    bin_ids,
-    kernel_bits_from_counts,
-    ksg_bits,
-    ksg_mi,
-    plugin_bits,
-)
+from .estimators import KernelConfig, KsgConfig, kernel_bits_from_counts, ksg_mi
 from .metrics import DistanceMatrix
 
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -43,21 +33,6 @@ class BiasFit:
     A_bits: float
     B_bits: float
     residual: float
-
-
-def _sub_bandwidth(config: KernelConfig, n_r_full: int, n_r_sub: int) -> int:
-    # Hold the mass fraction constant as the dataset shrinks.  Count-based
-    # configs scale by exact integer arithmetic so that lam = 1 recovers the
-    # configured n_h bit for bit.
-    if config.n_h is not None:
-        n_h = (config.n_h * n_r_sub) // n_r_full
-    else:
-        n_h = math.floor(config.h * n_r_sub)
-    if n_h < 1:
-        raise ValueError(
-            f"bandwidth resolves to zero points on a subsample of {n_r_sub}"
-        )
-    return n_h
 
 
 def usable_lambdas(lambdas, n_t: int) -> tuple:
@@ -119,48 +94,34 @@ def subsample_curve(
     """Mean MI estimate at each subsampled size: [(n_t_sub, mean_bits), ...].
 
     ``draws`` are the subsamples, the output of ``subsample_draws``; curves
-    of several configs can share one set.  Kernel bandwidths given as a
-    count are converted to the equivalent fraction of the full dataset so
-    the estimator keeps its character as the subsample shrinks.  Kernel and
-    KSG count every subsample in one NeighborTable of the full matrix, which
-    gives the same bits as estimating each subsample on its own submatrix;
-    the table reads the prefix of the matrix's ``order`` that counts need,
-    kept with it.  A histogram bins the points once and evaluates all
-    subsamples together in ``plugin_bits``, bitwise equal to ``histogram_mi``
-    on each subsample.
+    of several configs can share one set.  The config's ``subset_bits``
+    evaluates them all in one call, bitwise equal to the estimator on each
+    subsample alone.  Kernel bandwidths given as a count are converted to the
+    equivalent fraction of the full dataset so the estimator keeps its
+    character as the subsample shrinks.
     """
-    subsets = [s for _, group in draws for s in group]
-    if isinstance(config, KernelConfig):
-        if dm is None:
-            raise ValueError("kernel estimation needs a distance matrix")
-        table = NeighborTable(dm, d.labels)
-
-        def estimate(subset: np.ndarray) -> float:
-            n_h = _sub_bandwidth(config, d.n_r, subset.size)
-            return kernel_bits_from_counts(table.kernel_counts(n_h, subset), d.n_s, n_h)
-
-        bits = map(estimate, subsets)
-    elif isinstance(config, HistogramConfig):
-        bits = plugin_bits(bin_ids(d.vectors, config), d.labels, d.n_s, subsets)
-    elif isinstance(config, KsgConfig):
-        if dm is None:
-            raise ValueError("ksg estimation needs a distance matrix")
-        table = NeighborTable(dm, d.labels)
-
-        def estimate(subset: np.ndarray) -> float:
-            if subset.size == d.n_r:
-                return ksg_mi(d, dm, config).bits
-            return ksg_bits(table, config, d.n_s, subset)
-
-        bits = map(estimate, subsets)
-    else:
+    if not hasattr(config, "subset_bits"):
         raise TypeError(f"unsupported estimator config {type(config).__name__}")
-
-    bits = iter(bits)
+    subsets = [s for _, group in draws for s in group]
+    bits = iter(_traced_subset_bits(d, dm, config, subsets))
     return [
         (n_t_sub, float(np.mean(np.asarray([next(bits) for _ in group]))))
         for n_t_sub, group in draws
     ]
+
+
+def _traced_subset_bits(d, dm, config, subsets) -> list[float]:
+    # config.subset_bits, except for two names of this module that the
+    # benchmark in perfbench/ replaces while it runs: the KSG whole-dataset
+    # point still comes from ksg_mi, and kernel counts still become bits
+    # here.  Both go once the benchmark stops naming them (ROADMAP item 5).
+    if isinstance(config, KsgConfig):
+        return [ksg_mi(d, dm, config).bits if s.size == d.n_r
+                else config.subset_bits(d, dm, [s])[0] for s in subsets]
+    if isinstance(config, KernelConfig):
+        return [kernel_bits_from_counts(c, d.n_s, n_h)
+                for c, n_h in config.subset_counts(d, dm, subsets)]
+    return config.subset_bits(d, dm, subsets)
 
 
 def _solve3(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:

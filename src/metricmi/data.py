@@ -363,11 +363,3 @@ def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     picks = [rng.choice(row, size=k, replace=False) for row in d.positions]
     return np.sort(np.concatenate(picks)).astype(np.intp)
-
-
-def subsample(d: LabeledDataset, lam: float, seed: int) -> LabeledDataset:
-    """Stratified subsample with floor(lam * n_t) trials per stimulus."""
-    idx = subsample_indices(d, lam, seed)
-    if idx.size == d.n_r:
-        return d
-    return d.take(idx)

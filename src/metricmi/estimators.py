@@ -1,17 +1,20 @@
 """Mutual information estimators for a discrete stimulus and metric-space responses.
 
-Three estimators share the same inputs (a labeled dataset and, for the first
-two, its distance matrix):
+Each estimator is a config class with one method, ``subset_bits(d, dm,
+subsets)``: the estimate on each of a list of subsets (index arrays) of a
+labeled dataset, read through its distance matrix for the first two:
 
-* ``kernel_mi`` - square-kernel density estimate with the bandwidth given as
+* ``KernelConfig`` - square-kernel density estimate with the bandwidth given as
   probability mass: the kernel around a point is the region holding its
   ``n_h`` nearest neighbors (self included), so the radius adapts to the
   local density and the estimate depends only on neighbor ranks.
-* ``ksg_mi`` - digamma-based k-nearest-neighbor estimator adapted to a
+* ``KsgConfig`` - digamma-based k-nearest-neighbor estimator adapted to a
   discrete stimulus variable.
-* ``histogram_mi`` - plug-in estimate over fixed-width bins (vector data
+* ``HistogramConfig`` - plug-in estimate over fixed-width bins (vector data
   only), the classical baseline.
 
+``kernel_mi``, ``ksg_mi`` and ``histogram_mi`` are that method on the one
+subset of all points; a bias curve calls it once on all of its subsamples.
 Estimates are reported in bits.  All counting uses the deterministic
 (distance, index) neighbor order, so results are reproducible bit for bit.
 """
@@ -51,17 +54,40 @@ class KernelConfig:
 
     def resolve(self, n_r: int) -> int:
         """Neighbor count for a dataset of n_r points."""
-        if self.n_h is not None:
-            if self.n_h > n_r:
-                raise ValueError(f"n_h = {self.n_h} exceeds the {n_r} data points")
-            return self.n_h
-        n_h = math.floor(self.h * n_r)
+        return self._bandwidth(n_r, n_r)
+
+    def _bandwidth(self, n_r: int, size: int) -> int:
+        # Hold the mass fraction constant on a subset of `size` of the n_r
+        # points.  A count scales by exact integer arithmetic, so that all
+        # n_r points keep the configured n_h bit for bit.
+        if self.n_h is None:
+            n_h = math.floor(self.h * size)
+        elif self.n_h > n_r:
+            raise ValueError(f"n_h = {self.n_h} exceeds the {n_r} data points")
+        else:
+            n_h = (self.n_h * size) // n_r
         if n_h < 1:
-            raise ValueError(
-                f"bandwidth fraction {self.h} resolves to zero points "
-                f"(floor({self.h} * {n_r}) = 0)"
-            )
+            raise ValueError(f"bandwidth resolves to zero points on {size} of the {n_r} points")
         return n_h
+
+    def subset_counts(self, d: LabeledDataset, dm: DistanceMatrix, subsets):
+        """Yield (c, n_h) of each subset: its bandwidth, and c_i of each of its points.
+
+        The first prefix the counts read is 2 * n_h columns; a fraction on
+        all points reads ceil(2 * h * n_r), the widest its subsets ask for.
+        """
+        _check_inputs(d, dm, "kernel")
+        table = NeighborTable(dm, d.labels)
+        for subset in subsets:
+            n_h = self._bandwidth(d.n_r, subset.size)
+            whole = self.h is not None and subset.size == d.n_r
+            width = math.ceil(2 * self.h * d.n_r) if whole else 2 * n_h
+            yield table.kernel_counts(n_h, subset, width), n_h
+
+    def subset_bits(self, d: LabeledDataset, dm: DistanceMatrix, subsets) -> list[float]:
+        """Kernel estimate in bits on each subset, at the bandwidth scaled to its size."""
+        return [kernel_bits_from_counts(c, d.n_s, n_h)
+                for c, n_h in self.subset_counts(d, dm, subsets)]
 
 
 @dataclass(frozen=True)
@@ -69,7 +95,7 @@ class KsgConfig:
     """Neighbor parameter for the digamma estimator.
 
     C_i is counted by neighbor rank with the point itself excluded, so ties
-    in distance cannot double-count (see ``neighbor_count_C``).
+    in distance cannot double-count (see ``NeighborTable.ksg_counts``).
     """
 
     n_k: int
@@ -77,6 +103,27 @@ class KsgConfig:
     def __post_init__(self):
         if self.n_k < 1:
             raise ValueError(f"n_k must be >= 1, got {self.n_k}")
+
+    def subset_bits(self, d: LabeledDataset, dm: DistanceMatrix, subsets) -> list[float]:
+        """KSG estimate in bits on each subset, each balanced over the n_s stimuli."""
+        _check_inputs(d, dm, "ksg")
+        table = NeighborTable(dm, d.labels)
+        bits = []
+        for subset in subsets:
+            n_t = subset.size // d.n_s
+            if n_t <= self.n_k:
+                raise ValueError(
+                    f"n_k = {self.n_k} needs at least {self.n_k + 1} trials per stimulus, "
+                    f"dataset has n_t = {n_t}"
+                )
+            # balanced with n_t > n_k, every point has n_k usable neighbors.
+            # psi(n_k) is folded into the per-point terms so that the degenerate
+            # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
+            counts, _ = table.ksg_counts(self.n_k, subset)
+            delta = special.digamma(counts) - digamma(self.n_k)
+            nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
+            bits.append(nats / _LN2)
+        return bits
 
 
 @dataclass(frozen=True)
@@ -91,6 +138,12 @@ class HistogramConfig:
             raise ValueError(f"bin width must be finite and positive, got {self.width}")
         if not math.isfinite(self.origin):
             raise ValueError("bin origin must be finite")
+
+    def subset_bits(self, d: LabeledDataset, dm, subsets) -> list[float]:
+        """Plug-in estimate in bits on each subset; ``dm`` is not read."""
+        if d.kind != VECTOR:
+            raise MixedVariantError("histogram estimator requires vector responses")
+        return plugin_bits(bin_ids(d.vectors, self), d.labels, d.n_s, subsets)
 
 
 @dataclass(frozen=True)
@@ -113,12 +166,9 @@ def digamma(x: float) -> float:
     return float(special.digamma(x))
 
 
-def _check_point(dm: DistanceMatrix, i: int) -> None:
-    if not 0 <= i < dm.n_r:
-        raise IndexError(f"index {i} out of range for {dm.n_r} points")
-
-
-def _check_inputs(d: LabeledDataset, dm: DistanceMatrix) -> None:
+def _check_inputs(d: LabeledDataset, dm: DistanceMatrix, name: str) -> None:
+    if dm is None:
+        raise ValueError(f"{name} estimation needs a distance matrix")
     if dm.n_r != d.n_r:
         raise ValueError(
             f"distance matrix is {dm.n_r}x{dm.n_r} but dataset has {d.n_r} points"
@@ -167,8 +217,10 @@ class NeighborTable:
     def kernel_counts(self, n_h: int, subset=None, width=None) -> np.ndarray:
         """c_i: same-stimulus members among each member's n_h nearest members.
 
-        The point itself is one of them; a subset of fewer than n_h members
-        counts them all.  The first prefix is ``width`` columns, 2 * n_h by default.
+        The point itself is one of them, unless n_h or more lower-index
+        members tie with it at distance 0 and push it out, so that c_i can be
+        0 (ROADMAP item 1); a subset of fewer than n_h members counts them
+        all.  The first prefix is ``width`` columns, 2 * n_h by default.
         """
         labels = self._labels
 
@@ -200,22 +252,6 @@ class NeighborTable:
         return self._count(subset, n_k, 2 * n_k * np.unique(labels).size, count)
 
 
-def neighbor_count_c(
-    dm: DistanceMatrix, labels: np.ndarray, i: int, n_h: int
-) -> int:
-    """Number of same-stimulus points among the n_h nearest to point i.
-
-    The point itself counts, so the count is in [1, min(n_h, trials per
-    stimulus)], unless n_h or more lower-index points tie with i at distance 0:
-    they push i out of its own n_h nearest, and the count can be 0 (ROADMAP
-    item 1).  Rows are sorted only as far as counts read.
-    """
-    if not 1 <= n_h <= dm.n_r:
-        raise ValueError(f"n_h must be in [1, {dm.n_r}], got {n_h}")
-    _check_point(dm, i)
-    return int(NeighborTable(dm, labels).kernel_counts(n_h)[i])
-
-
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
     """Mean of log2(n_s * c / n_h) in fixed index order.
 
@@ -237,52 +273,8 @@ def kernel_mi(d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig) -> Mi
     the upper end exactly when each stimulus's responses are mutually
     nearest.
     """
-    _check_inputs(d, dm)
-    n_h = config.resolve(d.n_r)
-    # a fraction keeps the ceil(2 * h * n_r) columns its subsamples ask for
-    width = 2 * n_h if config.h is None else math.ceil(2 * config.h * d.n_r)
-    c = NeighborTable(dm, d.labels).kernel_counts(n_h, width=width)
-    bits = kernel_bits_from_counts(c, d.n_s, n_h)
-    return MiEstimate(bits, "kernel", {"n_h": n_h, "h": config.h})
-
-
-def neighbor_count_C(dm: DistanceMatrix, labels: np.ndarray, i: int, n_k: int) -> int:
-    """Points of any stimulus within reach of i's n_k-th same-stimulus neighbor.
-
-    The n_k-th nearest same-stimulus response other than i is located first;
-    the count then covers every other point ranking at or before it in the
-    (distance, index) neighbor order, so the result is at least n_k and ties
-    cannot double-count.  Rows are sorted only as far as counts read.
-    """
-    KsgConfig(n_k)  # reuse the config's check of n_k
-    _check_point(dm, i)
-    counts, usable = NeighborTable(dm, labels).ksg_counts(n_k)
-    if usable[i] < n_k:
-        raise ValueError(
-            f"point {i} has only {usable[i]} usable same-stimulus "
-            f"neighbors, need n_k = {n_k}"
-        )
-    return int(counts[i])
-
-
-def ksg_bits(table: NeighborTable, config: KsgConfig, n_s: int, subset) -> float:
-    """KSG estimate in bits on an ascending balanced subset of n_s stimuli.
-
-    ``table`` holds every row; the subset may be every point.
-    """
-    n_t = subset.size // n_s
-    if n_t <= config.n_k:
-        raise ValueError(
-            f"n_k = {config.n_k} needs at least {config.n_k + 1} trials per stimulus, "
-            f"dataset has n_t = {n_t}"
-        )
-    # balanced with n_t > n_k, every point has n_k usable neighbors.
-    # psi(n_k) is folded into the per-point terms so that the degenerate
-    # cases (every C equal to n_k, e.g. a single stimulus) cancel exactly
-    counts, _ = table.ksg_counts(config.n_k, subset)
-    delta = special.digamma(counts) - digamma(config.n_k)
-    nats = digamma(subset.size) - digamma(n_t) - float(np.mean(delta))
-    return nats / _LN2
+    bits = config.subset_bits(d, dm, [np.arange(d.n_r)])[0]
+    return MiEstimate(bits, "kernel", {"n_h": config.resolve(d.n_r), "h": config.h})
 
 
 def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstimate:
@@ -292,8 +284,7 @@ def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstima
     the points of any stimulus within reach of i's n_k-th nearest
     same-stimulus response; bits = I_e / ln 2.
     """
-    _check_inputs(d, dm)
-    bits = ksg_bits(NeighborTable(dm, d.labels), config, d.n_s, np.arange(d.n_r))
+    bits = config.subset_bits(d, dm, [np.arange(d.n_r)])[0]
     return MiEstimate(bits, "ksg", {"n_k": config.n_k})
 
 
@@ -373,10 +364,7 @@ def histogram_mi(d: LabeledDataset, config: HistogramConfig) -> MiEstimate:
     Evaluated by ``plugin_bits`` on the one subset of all points, the code
     that every subsample of a histogram bias curve runs.
     """
-    if d.kind != VECTOR:
-        raise MixedVariantError("histogram estimator requires vector responses")
-    ids = bin_ids(d.vectors, config)
-    bits = plugin_bits(ids, d.labels, d.n_s, [np.arange(d.n_r)])[0]
+    bits = config.subset_bits(d, None, [np.arange(d.n_r)])[0]
     return MiEstimate(
         bits, "histogram", {"width": config.width, "origin": config.origin}
     )

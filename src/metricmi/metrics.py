@@ -128,10 +128,6 @@ class DistanceMatrix:
             return _sorted_prefix(self.values, rows, width)
         return self.order[rows, :width]
 
-    def submatrix(self, indices) -> "DistanceMatrix":
-        indices = np.asarray(indices, dtype=np.intp)
-        return DistanceMatrix(self.values[np.ix_(indices, indices)])
-
 
 def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     """``argsort(values[rows], kind="stable")[:, :width]``, 64 rows at a time."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from metricmi import (
+    DistanceMatrix,
     HistogramConfig,
     KernelConfig,
     KsgConfig,
@@ -18,7 +19,6 @@ from metricmi import (
     kernel_mi,
     ksg_mi,
     quadratic_extrapolate,
-    subsample,
     subsample_curve,
     subsample_draws,
     subsample_indices,
@@ -26,6 +26,11 @@ from metricmi import (
 from metricmi import derived_seed, estimators
 from metricmi.estimators import bin_ids
 from metricmi.toybench import DEFAULT_WIDTHS
+
+
+def submatrix(dm, idx):
+    """The distance matrix of the points ``idx`` alone, sorted afresh."""
+    return DistanceMatrix(dm.values[np.ix_(idx, idx)])
 
 
 def toy(rng, n_s=3, n_t=20, n_d=2, duplicates=False):
@@ -121,6 +126,23 @@ class TestSubsampleCurve:
         cfg = KernelConfig(n_h=ds.n_t)
         curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (1.0,), seed=3))
         assert curve == [(ds.n_t, kernel_mi(ds, dm, cfg).bits)]
+        # a bandwidth fraction whose h * n_r = 91.5 is not whole
+        ds, dm = toy(np.random.default_rng(2), n_s=10, n_t=61, n_d=3)
+        cfg = KernelConfig(h=0.15)
+        curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (0.5, 1.0), 2, 3))
+        assert curve[1] == (ds.n_t, kernel_mi(ds, dm, cfg).bits)
+
+    def test_count_bandwidth_above_the_data_is_rejected(self):
+        # the curve's bandwidth check is the estimator's: n_h may not exceed n_r
+        ds, dm = toy(np.random.default_rng(2), n_t=10)
+        cfg = KernelConfig(n_h=100)
+        draws = subsample_draws(ds, seed=3)
+        msg = "^n_h = 100 exceeds the 30 data points$"
+        with pytest.raises(ValueError, match=msg):
+            kernel_mi(ds, dm, cfg)
+        for run in (subsample_curve, bias_corrected_mi):
+            with pytest.raises(ValueError, match=msg):
+                run(ds, dm, cfg, draws)
 
     def test_rejects_fractions_below_two_trials(self):
         ds, dm = toy(np.random.default_rng(3), n_t=10)
@@ -160,7 +182,7 @@ class TestSubsampleCurve:
                 for ri in range(3):
                     idx = subsample_indices(ds, lam, derived_seed(trial, 0, ri))
                     sub = ds.take(idx)
-                    sub_dm = dm.submatrix(idx)
+                    sub_dm = submatrix(dm, idx)
                     n_h = (ds.n_t * sub.n_r) // ds.n_r
                     direct.append(kernel_mi(sub, sub_dm, KernelConfig(n_h=n_h)).bits)
                 assert curve[0][1] == float(np.mean(np.asarray(direct)))
@@ -253,7 +275,7 @@ class TestSubsampleCurve:
         curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, lambdas, 3, 4))
         for li, (lam, (_, bits)) in enumerate(zip(lambdas, curve)):
             direct = [ksg_mi(ds, dm, cfg).bits] if lam == 1.0 else [
-                ksg_mi(ds.take(idx), dm.submatrix(idx), cfg).bits
+                ksg_mi(ds.take(idx), submatrix(dm, idx), cfg).bits
                 for idx in (subsample_indices(ds, lam, derived_seed(4, li, ri))
                             for ri in range(3))
             ]
@@ -284,14 +306,14 @@ class TestSubsampleCurve:
         idx = subsample_indices(ds, 2.0 / 3.0, derived_seed(0, 0, 0))
         sub = ds.take(idx)
         assert sub.n_t == 6
-        direct = kernel_mi(sub, dm.submatrix(idx), KernelConfig(n_h=6)).bits
+        direct = kernel_mi(sub, submatrix(dm, idx), KernelConfig(n_h=6)).bits
         idx2 = subsample_indices(ds, 2.0 / 3.0, derived_seed(0, 0, 1))
-        direct2 = kernel_mi(ds.take(idx2), dm.submatrix(idx2), KernelConfig(n_h=6)).bits
+        direct2 = kernel_mi(ds.take(idx2), submatrix(dm, idx2), KernelConfig(n_h=6)).bits
         assert lam_curve[0][1] == float(np.mean(np.asarray([direct, direct2])))
 
     def test_subsample_is_submultiset(self):
         ds, _ = toy(np.random.default_rng(9), n_s=4, n_t=10)
-        sub = subsample(ds, 0.5, 3)
+        sub = ds.take(subsample_indices(ds, 0.5, 3))
         assert sub.n_t == 5
         for s in range(4):
             assert np.count_nonzero(sub.labels == s) == 5
@@ -304,5 +326,7 @@ class TestSubsampleCurve:
             subsample_curve(ds, dm, KernelConfig(n_h=5), subsample_draws(ds, ()))
         with pytest.raises(ValueError):
             subsample_curve(ds, None, KernelConfig(n_h=5), subsample_draws(ds))
+        with pytest.raises(ValueError, match="^ksg estimation needs a distance matrix$"):
+            subsample_curve(ds, None, KsgConfig(n_k=2), subsample_draws(ds))
         with pytest.raises(TypeError):
             subsample_curve(ds, dm, object(), subsample_draws(ds))

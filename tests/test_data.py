@@ -14,7 +14,6 @@ from metricmi import (
     UnbalancedDesignError,
     load_dataset,
     save_dataset,
-    subsample,
     subsample_indices,
 )
 
@@ -185,12 +184,14 @@ class TestSpikeText:
 class TestSubsample:
     def test_identity_at_full_fraction(self):
         ds = _vec_dataset(np.random.default_rng(3))
-        assert subsample(ds, 1.0, 0) is ds
-        assert subsample(ds, 1.0, 99) is ds
+        # lam = 1 takes every point in order, whatever the seed
+        for seed in (0, 99):
+            assert np.array_equal(subsample_indices(ds, 1.0, seed), np.arange(ds.n_r))
+            assert ds.take(subsample_indices(ds, 1.0, seed)) == ds
 
     def test_floor_arithmetic(self):
         ds = _vec_dataset(np.random.default_rng(4), n_s=2, n_t=10)
-        sub = subsample(ds, 0.25, 0)
+        sub = ds.take(subsample_indices(ds, 0.25, 0))
         assert sub.n_t == 2
         assert sub.n_r == 4
 
@@ -218,10 +219,10 @@ class TestSubsample:
     def test_too_small_fraction(self):
         ds = _vec_dataset(np.random.default_rng(7), n_s=2, n_t=4)
         with pytest.raises(ValueError):
-            subsample(ds, 0.1, 0)
+            ds.take(subsample_indices(ds, 0.1, 0))
 
     def test_bad_fraction(self):
         ds = _vec_dataset(np.random.default_rng(8))
         for lam in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                subsample(ds, lam, 0)
+                ds.take(subsample_indices(ds, lam, 0))

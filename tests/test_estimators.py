@@ -22,8 +22,6 @@ from metricmi import (
     histogram_mi,
     kernel_mi,
     ksg_mi,
-    neighbor_count_C,
-    neighbor_count_c,
 )
 from metricmi.estimators import NeighborTable, bin_ids
 
@@ -76,25 +74,32 @@ class TestDigamma:
                 digamma(x)
 
 
+def kernel_counts(dm, labels, n_h):
+    """c_i of every point, from the neighbor table of the whole matrix."""
+    return NeighborTable(dm, labels).kernel_counts(n_h).tolist()
+
+
+def ksg_counts(dm, labels, n_k):
+    """C_i of every point, from the neighbor table of the whole matrix."""
+    return NeighborTable(dm, labels).ksg_counts(n_k)[0].tolist()
+
+
 class TestNeighborCountC:
     def test_separated_clusters_give_full_count(self):
         ds, dm = clusters(np.random.default_rng(0), n_s=3, n_t=4)
         for n_h in range(1, 5):
-            for i in range(ds.n_r):
-                assert neighbor_count_c(dm, ds.labels, i, n_h) == n_h
+            assert kernel_counts(dm, ds.labels, n_h) == [n_h] * ds.n_r
 
     def test_single_neighbor_is_self(self):
         ds, dm = random_dataset(np.random.default_rng(1))
-        for i in range(ds.n_r):
-            assert neighbor_count_c(dm, ds.labels, i, 1) == 1
+        assert kernel_counts(dm, ds.labels, 1) == [1] * ds.n_r
 
     def test_alternating_line(self):
         # A@0, A@2, B@1, B@3: with n_h=2 every point's nearest other
         # neighbor belongs to the other stimulus, so c = 1 everywhere
         ds = LabeledDataset.from_vectors([[0.0], [2.0], [1.0], [3.0]], [0, 0, 1, 1])
         dm = distance_matrix(ds, MetricSpec.euclidean())
-        for i in range(4):
-            assert neighbor_count_c(dm, ds.labels, i, 2) == 1
+        assert kernel_counts(dm, ds.labels, 2) == [1] * 4
 
     def test_single_stimulus_sums(self):
         rng = np.random.default_rng(2)
@@ -102,15 +107,16 @@ class TestNeighborCountC:
         ds = LabeledDataset.from_vectors(X, [0] * 9)
         dm = distance_matrix(ds, MetricSpec.euclidean())
         for n_h in (1, 4, 9):
-            total = sum(neighbor_count_c(dm, ds.labels, i, n_h) for i in range(9))
+            total = sum(kernel_counts(dm, ds.labels, n_h))
             assert total == ds.n_r * n_h
 
     def test_bounds_checked(self):
+        # the kernel config holds the bandwidth's bounds: n_h in [1, n_r]
         ds, dm = random_dataset(np.random.default_rng(3))
         with pytest.raises(ValueError):
-            neighbor_count_c(dm, ds.labels, 0, 0)
+            KernelConfig(n_h=0)
         with pytest.raises(ValueError):
-            neighbor_count_c(dm, ds.labels, 0, ds.n_r + 1)
+            KernelConfig(n_h=ds.n_r + 1).subset_bits(ds, dm, [np.arange(ds.n_r)])
 
 
 class TestKernelMi:
@@ -175,39 +181,37 @@ class TestNeighborCountBig:
         ds = LabeledDataset.from_vectors(X, [0] * 7)
         dm = distance_matrix(ds, MetricSpec.euclidean())
         for n_k in (1, 3, 6):
-            for i in range(7):
-                assert neighbor_count_C(dm, ds.labels, i, n_k) == n_k
+            assert ksg_counts(dm, ds.labels, n_k) == [n_k] * 7
 
     def test_separated_clusters_give_n_k(self):
         ds, dm = clusters(np.random.default_rng(11), n_s=2, n_t=5)
         for n_k in (1, 2, 4):
-            for i in range(ds.n_r):
-                assert neighbor_count_C(dm, ds.labels, i, n_k) == n_k
+            assert ksg_counts(dm, ds.labels, n_k) == [n_k] * ds.n_r
 
     def test_interleaved_line(self):
         # A@0, B@1, A@2, B@3: for A@0 the nearest other A sits at rank 2
         ds = LabeledDataset.from_vectors([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
         dm = distance_matrix(ds, MetricSpec.euclidean())
-        assert neighbor_count_C(dm, ds.labels, 0, 1) == 2
+        assert ksg_counts(dm, ds.labels, 1)[0] == 2
 
     def test_count_by_rank_excludes_ties_beyond_anchor(self):
         # points at 0, 1, 1: the second point ties the anchor distance of the
         # first's nearest same-stimulus neighbor but ranks after it
         dm = DistanceMatrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         labels = np.array([0, 0, 1])
-        assert neighbor_count_C(dm, labels, 0, 1) == 1
+        assert ksg_counts(dm, labels, 1)[0] == 1
 
     def test_insufficient_neighbors(self):
+        # n_t = 3 leaves each point 2 usable neighbors, short of n_k = 3
         ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
-        with pytest.raises(ValueError):
-            neighbor_count_C(dm, ds.labels, 0, 3)
+        _, usable = NeighborTable(dm, ds.labels).ksg_counts(3)
+        assert usable.tolist() == [2] * ds.n_r
 
     def test_at_least_n_k(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             ds, dm = random_dataset(rng, n_s=3, n_t=6, duplicates=True)
-            for i in range(ds.n_r):
-                assert neighbor_count_C(dm, ds.labels, i, 2) >= 2
+            assert min(ksg_counts(dm, ds.labels, 2)) >= 2
 
 
 class TestKsgMi:
@@ -239,7 +243,7 @@ class TestKsgMi:
         rng = np.random.default_rng(18)
         ds, dm = random_dataset(rng, n_s=3, n_t=5, duplicates=True)
         n_k = 2
-        counts = [neighbor_count_C(dm, ds.labels, i, n_k) for i in range(ds.n_r)]
+        counts = ksg_counts(dm, ds.labels, n_k)
         nats = (
             digamma(ds.n_r)
             - digamma(ds.n_t)
@@ -256,7 +260,7 @@ class TestKsgMi:
         # rounding of float64 arithmetic, not of the digamma evaluation
         rng = np.random.default_rng(19)
         ds, dm = random_dataset(rng, n_s=n_s, n_t=n_t, duplicates=True)
-        counts = [neighbor_count_C(dm, ds.labels, i, n_k) for i in range(ds.n_r)]
+        counts = ksg_counts(dm, ds.labels, n_k)
         with mpmath.workdps(40):
             psi = mpmath.digamma
             mean = mpmath.fsum(psi(c) - psi(n_k) for c in counts) / ds.n_r
@@ -479,38 +483,23 @@ class TestNeighborTable:
         ds = LabeledDataset.from_vectors(np.array(x, float)[:, None], [0] * 5 + [1] * 5)
         dm = distance_matrix(ds, MetricSpec.euclidean())
         got, _ = NeighborTable(dm, ds.labels).ksg_counts(1)
-        want = [neighbor_count_C(dm, ds.labels, i, 1) for i in range(10)]
+        want = [fresh_ksg_count(dm.values, ds.labels, k, 1) for k in range(10)]
         assert got.tolist() == want
         assert got[0] == 6 and widths[:2] == [4, 8]
-
-    def test_too_few_usable_neighbors_message(self):
-        ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
-        msg = "point 4 has only 2 usable same-stimulus neighbors, need n_k = 3"
-        with pytest.raises(ValueError, match=f"^{msg}$"):
-            neighbor_count_C(dm, ds.labels, 4, 3)
-
-    def test_point_out_of_range(self):
-        dm = line_matrix([0, 1, 2])
-        for i in (-1, 3):
-            with pytest.raises(IndexError, match=f"^index {i} out of range for 3 points$"):
-                neighbor_count_c(dm, np.array([0, 0, 1]), i, 1)
-            with pytest.raises(IndexError, match=f"^index {i} out of range for 3 points$"):
-                neighbor_count_C(dm, np.array([0, 0, 1]), i, 1)
 
     def test_labels_must_match_the_matrix(self):
         # too few, too many and 2-d labels name both shapes, not a bad index
         dm = line_matrix(np.arange(6))
         for labels in (np.zeros(5, int), np.zeros(7, int), np.zeros((6, 1), int)):
             msg = re.escape(f"labels of shape {labels.shape} do not match the 6x6 ")
-            for count in (neighbor_count_c, neighbor_count_C):
-                with pytest.raises(ValueError, match=f"^{msg}"):
-                    count(dm, labels, 0, 1)
+            with pytest.raises(ValueError, match=f"^{msg}"):
+                NeighborTable(dm, labels)
 
     def test_short_rows_elsewhere_do_not_stop_a_count(self):
         # stimulus 1 has one point, so it has no usable neighbor for n_k = 1;
         # point 0's count does not depend on it
         dm = line_matrix([0, 1, 2])
-        assert neighbor_count_C(dm, np.array([0, 0, 1]), 0, 1) == 1
+        assert ksg_counts(dm, np.array([0, 0, 1]), 1)[0] == 1
 
     def test_too_few_trials_message(self):
         ds, dm = random_dataset(np.random.default_rng(16), n_s=2, n_t=3)
