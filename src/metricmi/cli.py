@@ -156,6 +156,7 @@ def _check_flags(args, parser) -> None:
             ("--bin-width", args.bin_width, args.histogram, "--histogram"),
             ("--origin", args.origin, args.histogram, "--histogram"),
             ("--metric", args.metric, not args.histogram, "the kernel and KSG estimators"),
+            ("--lambdas", args.lambdas, args.bias_correct, "--bias-correct"),
         ]
     for flag, value, read, reader in rules:
         if value is not None and not read:

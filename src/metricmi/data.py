@@ -9,7 +9,6 @@ seconds); the two variants never mix within a dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,33 +52,6 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class ResponsePoint:
-    """A single response: a coordinate vector or a sorted spike train."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (VECTOR, SPIKE):
-            raise DatasetError(f"unknown response kind {self.kind!r}")
-        v = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if v.ndim != 1:
-            raise DatasetError("response values must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise DatasetError("response values must be finite")
-        if self.kind == VECTOR and v.size == 0:
-            raise DatasetError("vector responses need at least one coordinate")
-        if self.kind == SPIKE and v.size > 1 and np.any(np.diff(v) < 0):
-            raise DatasetError("spike times must be nondecreasing")
-        object.__setattr__(self, "values", _as_readonly(v))
-
-    def __eq__(self, other):
-        if not isinstance(other, ResponsePoint):
-            return NotImplemented
-        return self.kind == other.kind and np.array_equal(self.values, other.values)
 
 
 class LabeledDataset:
@@ -188,11 +160,6 @@ class LabeledDataset:
         if self._trains is None:
             raise MixedVariantError("dataset holds vectors, not spike trains")
         return self._trains
-
-    def point(self, i: int) -> ResponsePoint:
-        if self._vectors is not None:
-            return ResponsePoint(self._vectors[i], VECTOR)
-        return ResponsePoint(self._trains[i], SPIKE)
 
     def take(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given point indices (order preserved)."""

@@ -2,7 +2,8 @@
 
 Each estimator is a config class with one method, ``subset_bits(d, dm,
 subsets)``: the estimate on each of a list of subsets (index arrays) of a
-labeled dataset, read through its distance matrix for the first two:
+labeled dataset.  The first two read it through its distance matrix, and only
+on ascending subsets with equally many points of each stimulus:
 
 * ``KernelConfig`` - square-kernel density estimate with the bandwidth given as
   probability mass: the kernel around a point is the region holding its
@@ -79,6 +80,7 @@ class KernelConfig:
         _check_inputs(d, dm, "kernel")
         table = NeighborTable(dm, d.labels)
         for subset in subsets:
+            _trials(d, subset)
             n_h = self._bandwidth(d.n_r, subset.size)
             whole = self.h is not None and subset.size == d.n_r
             width = math.ceil(2 * self.h * d.n_r) if whole else 2 * n_h
@@ -110,7 +112,7 @@ class KsgConfig:
         table = NeighborTable(dm, d.labels)
         bits = []
         for subset in subsets:
-            n_t = subset.size // d.n_s
+            n_t = _trials(d, subset)
             if n_t <= self.n_k:
                 raise ValueError(
                     f"n_k = {self.n_k} needs at least {self.n_k + 1} trials per stimulus, "
@@ -173,6 +175,16 @@ def _check_inputs(d: LabeledDataset, dm: DistanceMatrix, name: str) -> None:
         raise ValueError(
             f"distance matrix is {dm.n_r}x{dm.n_r} but dataset has {d.n_r} points"
         )
+
+
+def _trials(d: LabeledDataset, subset: np.ndarray) -> int:
+    """Trials per stimulus in a subset of the form ``subsample_draws`` makes, else ValueError."""
+    counts = np.bincount(d.labels[subset], minlength=d.n_s).tolist()
+    ascending = subset.size == 0 or subset[0] >= 0 and not (subset[1:] <= subset[:-1]).any()
+    if not ascending or counts.count(counts[0]) != d.n_s:
+        raise ValueError("a subset must be ascending point indices, "
+                         f"equally many of each of the {d.n_s} stimuli")
+    return counts[0]
 
 
 class NeighborTable:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import SPIKE, VECTOR, LabeledDataset, ResponsePoint, format_float
+from .data import SPIKE, VECTOR, LabeledDataset, format_float
 
 EUCLIDEAN = "euclidean"
 VICTOR_PURPURA = "victor-purpura"
@@ -147,16 +147,6 @@ def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarr
     return prefix
 
 
-def euclidean_distance(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise MetricMismatchError(
-            f"vector dimensions differ: {a.shape[0]} vs {b.shape[0]}"
-        )
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 _BLOCK = 1 << 13  # cells of a working array, whatever the number of trains
 
 
@@ -246,10 +236,11 @@ def victor_purpura_distance(a, b, q: float) -> float:
 
     Minimal-cost transformation of train ``a`` into train ``b`` where deleting
     or inserting a spike costs 1 and moving a spike by dt costs q * |dt|.
-    Computed by the O(len(a) * len(b)) dynamic program of ``distance_matrix``, exactly symmetric.
+    Computed by the O(len(a) * len(b)) dynamic program of ``distance_matrix``, as
+    its entry for the dataset of the two trains, so exactly symmetric.
     """
-    trains = [ResponsePoint(t, SPIKE).values for t in (a, b)]
-    return float(_spike_values(trains, _vp_pairs, MetricSpec.victor_purpura(q).q)[0, 1])
+    d = LabeledDataset.from_spike_trains([a, b], [0, 0])
+    return float(distance_matrix(d, MetricSpec.victor_purpura(q)).values[0, 1])
 
 
 def _vr_pairs(columns, sizes, tau: float):
@@ -292,34 +283,17 @@ def van_rossum_distance(a, b, tau: float) -> float:
     Each train is mapped to a sum of causal exponentials exp(-(t - t_i)/tau)
     and the distance is sqrt((1/tau) * integral (f - g)^2 dt), evaluated in
     closed form through pairwise exp(-|t_i - t_j|/tau) sums; no time grid is
-    involved.  A bucket of one pair of the code that fills ``distance_matrix``.
+    involved.  A bucket of one pair of the code that fills ``distance_matrix``: its
+    entry for the dataset of the two trains.
     """
-    trains = [ResponsePoint(t, SPIKE).values for t in (a, b)]
-    return float(_spike_values(trains, _vr_pairs, MetricSpec.van_rossum(tau).tau)[0, 1])
-
-
-def _check_variant(kind: str, m: MetricSpec) -> None:
-    if kind != m.variant:
-        raise MetricMismatchError(
-            f"{m.kind} metric requires {m.variant} responses, got {kind}"
-        )
-
-
-def distance(a: ResponsePoint, b: ResponsePoint, m: MetricSpec) -> float:
-    """Distance between two responses under the given metric."""
-    if a.kind != b.kind:
-        raise MetricMismatchError(f"mixed response variants: {a.kind} vs {b.kind}")
-    _check_variant(a.kind, m)
-    if m.kind == EUCLIDEAN:
-        return euclidean_distance(a.values, b.values)
-    if m.kind == VICTOR_PURPURA:
-        return victor_purpura_distance(a.values, b.values, m.q)
-    return van_rossum_distance(a.values, b.values, m.tau)
+    d = LabeledDataset.from_spike_trains([a, b], [0, 0])
+    return float(distance_matrix(d, MetricSpec.van_rossum(tau)).values[0, 1])
 
 
 def distance_matrix(d: LabeledDataset, m: MetricSpec) -> DistanceMatrix:
-    """All pairwise distances, entry [i, j] = distance(point i, point j)."""
-    _check_variant(d.kind, m)
+    """All pairwise distances: entry [i, j] is the distance of responses i and j."""
+    if d.kind != m.variant:
+        raise MetricMismatchError(f"{m.kind} metric requires {m.variant} responses, got {d.kind}")
     if m.kind == EUCLIDEAN:
         values = cdist(d.vectors, d.vectors)
         np.fill_diagonal(values, 0.0)
@@ -327,19 +301,6 @@ def distance_matrix(d: LabeledDataset, m: MetricSpec) -> DistanceMatrix:
     if m.kind == VICTOR_PURPURA:
         return DistanceMatrix(_spike_values(d.trains, _vp_pairs, m.q))
     return DistanceMatrix(_spike_values(d.trains, _vr_pairs, m.tau))
-
-
-def neighbor_order(dm: DistanceMatrix, i: int) -> np.ndarray:
-    """Indices sorted by (distance to i ascending, index ascending).
-
-    Position 0 is i itself unless a duplicate point with a smaller index
-    exists; the (distance, index) order makes every downstream count
-    deterministic even with tied or duplicated points.  The result is row i
-    of ``dm.order``, read-only.
-    """
-    if not 0 <= i < dm.n_r:
-        raise IndexError(f"index {i} out of range for {dm.n_r} points")
-    return dm.order[i]
 
 
 def write_distance_csv(dm: DistanceMatrix, path) -> None:

@@ -275,6 +275,7 @@ class TestEstimate:
         (["estimate", "--metric", "victor-purpura", "--q", "1", "--tau", "1"], "--tau"),
         (["distances", "--metric", "van-rossum", "--tau", "1", "--q", "1"], "--q"),
         (["distances", "--tau", "1"], "--tau"),
+        (["estimate", "--lambdas", "0.5,1.0"], "--lambdas"),
     ])
     def test_flag_nothing_reads_is_usage_error(self, tmp_path, capsys, argv, flag):
         data = self._gen(tmp_path)

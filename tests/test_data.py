@@ -10,7 +10,6 @@ from metricmi import (
     DatasetParseError,
     LabeledDataset,
     MixedVariantError,
-    ResponsePoint,
     UnbalancedDesignError,
     load_dataset,
     save_dataset,
@@ -25,26 +24,36 @@ def _vec_dataset(rng, n_s=3, n_t=4, n_d=2):
 
 
 class TestResponsePoint:
+    """Each response as the dataset constructor checks and stores it."""
+
     def test_vector_roundtrip(self):
-        p = ResponsePoint([1.0, 2.0], "vector")
-        assert p.values.tolist() == [1.0, 2.0]
+        ds = LabeledDataset.from_vectors([[1.0, 2.0]], [0])
+        assert ds.vectors[0].tolist() == [1.0, 2.0]
 
     def test_spike_must_be_sorted(self):
-        with pytest.raises(DatasetError):
-            ResponsePoint([0.5, 0.1], "spike")
+        with pytest.raises(DatasetError, match="spike times must be nondecreasing"):
+            LabeledDataset.from_spike_trains([[0.5, 0.1], [0.2]], [0, 0])
 
     def test_values_must_be_finite(self):
-        with pytest.raises(DatasetError):
-            ResponsePoint([np.nan, 0.0], "vector")
+        with pytest.raises(DatasetError, match="coordinates must be finite"):
+            LabeledDataset.from_vectors([[np.nan, 0.0], [1.0, 2.0]], [0, 0])
+        with pytest.raises(DatasetError, match="spike times must be finite"):
+            LabeledDataset.from_spike_trains([[np.nan, 0.0], [0.2]], [0, 0])
+
+    def test_bare_number_is_not_a_train(self):
+        with pytest.raises(DatasetError, match="spike trains must be one-dimensional"):
+            LabeledDataset.from_spike_trains([0.5, [0.2]], [0, 0])
 
     def test_empty_spike_train_ok(self):
-        p = ResponsePoint([], "spike")
-        assert p.values.size == 0
+        ds = LabeledDataset.from_spike_trains([[], [0.1]], [0, 0])
+        assert ds.trains[0].size == 0
 
     def test_values_are_readonly(self):
-        p = ResponsePoint([1.0, 2.0], "vector")
+        ds = LabeledDataset.from_spike_trains([[1.0, 2.0], [0.5]], [0, 0])
         with pytest.raises(ValueError):
-            p.values[0] = 5.0
+            ds.trains[0][0] = 5.0
+        with pytest.raises(ValueError):
+            LabeledDataset.from_vectors([[1.0, 2.0]], [0]).vectors[0][0] = 5.0
 
 
 class TestLabeledDataset:
@@ -88,12 +97,6 @@ class TestLabeledDataset:
             ds.vectors
         with pytest.raises(MixedVariantError):
             ds.n_d
-
-    def test_point_wraps_variant(self):
-        ds = _vec_dataset(np.random.default_rng(1))
-        p = ds.point(3)
-        assert p.kind == "vector"
-        assert np.array_equal(p.values, ds.vectors[3])
 
 
 class TestCsvVectors:

@@ -506,3 +506,31 @@ class TestNeighborTable:
         msg = "n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3"
         with pytest.raises(ValueError, match=f"^{msg}$"):
             ksg_mi(ds, dm, KsgConfig(n_k=3))
+
+
+class TestSubsetChecks:
+    """Kernel and KSG take only the subsets that ``subsample_draws`` makes."""
+
+    def _subsets(self):
+        ds, dm = random_dataset(np.random.default_rng(31), n_s=5, n_t=6)
+        balanced = np.sort(ds.positions[:, :3].ravel())
+        return ds, dm, {
+            "two-of-five-stimuli": np.arange(12),
+            "repeated-indices": np.repeat(balanced, 2),
+            "descending": balanced[::-1].copy(),
+        }
+
+    @pytest.mark.parametrize("config", [KernelConfig(n_h=4), KernelConfig(h=0.2),
+                                        KsgConfig(n_k=2)], ids=["n_h", "h", "ksg"])
+    def test_unstratified_subset_rejected(self, config):
+        ds, dm, subsets = self._subsets()
+        for name, subset in subsets.items():
+            with pytest.raises(ValueError, match="equally many of each of the 5 stimuli"):
+                config.subset_bits(ds, dm, [subset])
+            with pytest.raises(ValueError, match="equally many of each of the 5 stimuli"):
+                config.subset_bits(ds, dm, [np.arange(ds.n_r), subset])
+
+    def test_histogram_takes_any_subset(self):
+        ds, _, subsets = self._subsets()
+        bits = HistogramConfig(width=0.5).subset_bits(ds, None, list(subsets.values()))
+        assert all(math.isfinite(b) for b in bits)

@@ -15,11 +15,7 @@ from metricmi import (
     LabeledDataset,
     MetricMismatchError,
     MetricSpec,
-    ResponsePoint,
-    distance,
     distance_matrix,
-    euclidean_distance,
-    neighbor_order,
     van_rossum_distance,
     victor_purpura_distance,
 )
@@ -113,23 +109,27 @@ def pairwise_matrix(trains, pair):
     return values
 
 
+def scalar_distance(a, b, m):
+    if m.kind == "van-rossum":
+        return van_rossum_distance(a, b, m.tau)
+    return victor_purpura_distance(a, b, m.q)
+
+
 def assert_matrix_matches_pairs(trains):
     ds = LabeledDataset.from_spike_trains(trains, [0] * len(trains))
     for m, pair in SPIKE_METRICS:
         got = distance_matrix(ds, m).values
         assert np.array_equal(got, pairwise_matrix(ds.trains, pair)), m
         for j in {len(trains) // 2, len(trains) - 1}:
-            assert distance(ds.point(0), ds.point(j), m) == got[0, j] == got[j, 0], m
-            assert distance(ds.point(j), ds.point(0), m) == got[0, j], m
+            a, b = ds.trains[0], ds.trains[j]
+            assert scalar_distance(a, b, m) == got[0, j] == got[j, 0], m
+            assert scalar_distance(b, a, m) == got[0, j], m
 
 
 class TestEuclidean:
     def test_pythagoras(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MetricMismatchError):
-            euclidean_distance([0.0], [1.0, 2.0])
+        ds = LabeledDataset.from_vectors([[0.0, 0.0], [3.0, 4.0]], [0, 0])
+        assert distance_matrix(ds, MetricSpec.euclidean()).values[0, 1] == 5.0
 
 
 class TestVictorPurpura:
@@ -219,21 +219,21 @@ class TestMetricSpec:
         (van_rossum_distance, [0.1], [math.nan], 0.5),
         (victor_purpura_distance, [0.2, 0.1], [0.3], 1.0),
         (van_rossum_distance, [0.3], [0.2, 0.1], 0.5),
+        (victor_purpura_distance, 0.1, [0.3], 1.0),
     ], ids=["vp-negative-q", "vr-negative-tau", "vr-zero-tau", "vp-nan-spike",
-            "vr-nan-spike", "vp-unsorted", "vr-unsorted"])
+            "vr-nan-spike", "vp-unsorted", "vr-unsorted", "vp-bare-number"])
     def test_scalar_spike_distances_reject_bad_input(self, metric, a, b, param):
         with pytest.raises(ValueError):
             metric(a, b, param)
 
     def test_variant_mismatch(self):
-        vec = ResponsePoint([1.0], "vector")
-        spk = ResponsePoint([1.0], "spike")
-        with pytest.raises(MetricMismatchError):
-            distance(vec, spk, MetricSpec.euclidean())
-        with pytest.raises(MetricMismatchError):
-            distance(spk, spk, MetricSpec.euclidean())
-        with pytest.raises(MetricMismatchError):
-            distance(vec, vec, MetricSpec.victor_purpura(1.0))
+        vectors = LabeledDataset.from_vectors([[1.0]], [0])
+        trains = LabeledDataset.from_spike_trains([[1.0]], [0])
+        with pytest.raises(MetricMismatchError, match="requires vector responses, got spike"):
+            distance_matrix(trains, MetricSpec.euclidean())
+        for m in (MetricSpec.victor_purpura(1.0), MetricSpec.van_rossum(0.5)):
+            with pytest.raises(MetricMismatchError, match="requires spike responses, got vector"):
+                distance_matrix(vectors, m)
 
 
 class TestDistanceMatrix:
@@ -257,7 +257,9 @@ class TestDistanceMatrix:
         dm = distance_matrix(ds, m)
         for i in range(ds.n_r):
             for j in range(ds.n_r):
-                assert dm.values[i, j] == distance(ds.point(i), ds.point(j), m)
+                # the sum of squares in coordinate order, as cdist adds it
+                diff = ds.vectors[i] - ds.vectors[j]
+                assert dm.values[i, j] == np.sqrt(np.sum(diff * diff))
 
     def test_metric_axioms_euclidean(self):
         rng = np.random.default_rng(15)
@@ -412,7 +414,6 @@ class TestNeighborOrder:
         for i in range(dm.n_r):
             want = sorted(range(dm.n_r), key=lambda j: (dm.values[i, j], j))
             assert order[i].tolist() == want
-            assert np.array_equal(neighbor_order(dm, i), order[i])
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=150), st.data())
     @settings(max_examples=200, deadline=None)
@@ -492,17 +493,17 @@ class TestNeighborOrder:
         # from i: self 0, j at 2.0, k at 1.0 -> [i, k, j]
         vals = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
         dm = DistanceMatrix(vals)
-        assert neighbor_order(dm, 0).tolist() == [0, 2, 1]
+        assert dm.order[0].tolist() == [0, 2, 1]
 
     def test_tie_breaks_by_index(self):
         vals = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
         dm = DistanceMatrix(vals)
-        assert neighbor_order(dm, 0).tolist() == [0, 1, 2]
+        assert dm.order[0].tolist() == [0, 1, 2]
 
     def test_duplicate_point_with_smaller_index_first(self):
         ds = LabeledDataset.from_vectors([[5.0], [1.0], [1.0]], [0, 1, 2])
         dm = distance_matrix(ds, MetricSpec.euclidean())
-        assert neighbor_order(dm, 2).tolist() == [1, 2, 0]
+        assert dm.order[2].tolist() == [1, 2, 0]
 
     def test_total_order_is_reproducible(self):
         rng = np.random.default_rng(18)
@@ -512,9 +513,4 @@ class TestNeighborOrder:
         dm = distance_matrix(ds, MetricSpec.euclidean())
         rebuilt = DistanceMatrix(dm.values.copy())
         for i in range(ds.n_r):
-            assert np.array_equal(neighbor_order(dm, i), neighbor_order(rebuilt, i))
-
-    def test_bounds(self):
-        dm = DistanceMatrix(np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            neighbor_order(dm, 2)
+            assert np.array_equal(dm.order[i], rebuilt.order[i])
