@@ -112,9 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subsample fractions (default: the "
                           "0.1..1.0 grid restricted to fractions leaving at "
                           "least 2 trials)")
-    est.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                     help="subsamples per fraction below 1")
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--repeats", type=int, default=None,
+                     help=f"subsamples per fraction below 1 (default {DEFAULT_REPEATS})")
+    est.add_argument("--seed", type=int, default=None, help="subsample seed (default 0)")
     est.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
     est.set_defaults(handler=_cmd_estimate)
 
@@ -157,6 +157,8 @@ def _check_flags(args, parser) -> None:
             ("--origin", args.origin, args.histogram, "--histogram"),
             ("--metric", args.metric, not args.histogram, "the kernel and KSG estimators"),
             ("--lambdas", args.lambdas, args.bias_correct, "--bias-correct"),
+            ("--repeats", args.repeats, args.bias_correct, "--bias-correct"),
+            ("--seed", args.seed, args.bias_correct, "--bias-correct"),
         ]
     for flag, value, read, reader in rules:
         if value is not None and not read:
@@ -257,7 +259,9 @@ def _estimate(args, parser, dataset) -> dict:
     out = {"estimator": estimate.estimator, "config": estimate.config,
            "bits": estimate.bits}
     if args.bias_correct:
-        draws = subsample_draws(dataset, args.lambdas, args.repeats, args.seed)
+        repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
+        seed = 0 if args.seed is None else args.seed
+        draws = subsample_draws(dataset, args.lambdas, repeats, seed)
         fit, curve = bias_corrected_mi(dataset, dm, config, draws)
         out["curve"] = [[size, bits] for size, bits in curve]
         out["intercept_bits"] = fit.intercept_bits

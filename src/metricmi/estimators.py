@@ -199,27 +199,32 @@ class NeighborTable:
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
-        self._labels = np.asarray(labels)
-        if self._labels.shape != (dm.n_r,):
-            raise ValueError(f"labels of shape {self._labels.shape} do not match "
+        labels = np.asarray(labels)
+        if labels.shape != (dm.n_r,):
+            raise ValueError(f"labels of shape {labels.shape} do not match "
                              f"the {dm.n_r}x{dm.n_r} distance matrix")
+        # counts compare labels only for equality, so dense int32 ids do
+        kinds, ids = np.unique(labels, return_inverse=True)
+        self._labels = ids.astype(np.int32)
+        self._n_s = kinds.size
         self._dm = dm
 
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
-        # count(points, cols, member) -> (counts, found) on the order prefixes
-        # cols of the rows points; a row is done once it has found `need` or
-        # has been read in full
+        # count(points, cols, tags) -> (counts, found) on the order prefixes
+        # cols of the rows points, tags[j] the label id of member j and -1
+        # elsewhere; a row is done once it has found `need` or has been read
+        # in full
         n = self._labels.size
         subset = np.arange(n) if subset is None else subset
-        member = np.zeros(n, dtype=bool)
-        member[subset] = True
+        tags = np.full(n, -1, dtype=np.int32)
+        tags[subset] = self._labels[subset]
         width = -(-width * n // subset.size)
         counts, found = np.empty((2, subset.size), dtype=np.int64)
         todo = np.arange(subset.size)
         while todo.size:
             width = min(width, n)
             points = subset[todo]
-            c, f = count(points, self._dm.order_prefix(points, width), member)
+            c, f = count(points, self._dm.order_prefix(points, width), tags)
             done = (f >= need) | (width == n)
             counts[todo[done]], found[todo[done]] = c[done], f[done]
             todo = todo[~done]
@@ -236,10 +241,10 @@ class NeighborTable:
         """
         labels = self._labels
 
-        def count(points, cols, member):
-            inside = member[cols]
-            run = np.cumsum(inside, axis=1)
-            same = inside & (labels[cols] == labels[points, None])
+        def count(points, cols, tags):
+            tag = tags[cols]
+            run = np.cumsum(tag >= 0, axis=1, dtype=np.int32)
+            same = tag == labels[points, None]
             return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
 
         return self._count(subset, n_h, width or 2 * n_h, count)[0]
@@ -254,14 +259,16 @@ class NeighborTable:
         """
         labels = self._labels
 
-        def count(points, cols, member):
-            others = member[cols] & (cols != points[:, None])
-            run = np.cumsum(others & (labels[cols] == labels[points, None]), axis=1)
+        def count(points, cols, tags):
+            tag = tags[cols]
+            others = cols != points[:, None]
+            run = np.cumsum(others & (tag == labels[points, None]), axis=1, dtype=np.int32)
             anchor = np.argmax(run >= n_k, axis=1)
-            upto = np.arange(cols.shape[1]) <= anchor[:, None]
-            return np.count_nonzero(others & upto, axis=1), run[:, -1]
+            others &= tag >= 0
+            others &= np.arange(cols.shape[1]) <= anchor[:, None]
+            return np.count_nonzero(others, axis=1), run[:, -1]
 
-        return self._count(subset, n_k, 2 * n_k * np.unique(labels).size, count)
+        return self._count(subset, n_k, 2 * n_k * self._n_s, count)
 
 
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:

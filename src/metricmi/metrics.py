@@ -104,11 +104,12 @@ class DistanceMatrix:
     def order(self) -> np.ndarray:
         """Row i: every index in (distance to i, index) order; read-only int64.
 
-        One stable sort of each row, done on first read and kept with the matrix.
+        Exactly ``np.argsort(values, axis=1, kind="stable")``, computed by
+        ``_argsort_rows`` on first read and kept with the matrix.
         """
         if self._order is None or self._order.shape[1] < self.n_r:
             self._order = None  # free a kept prefix before the full sort allocates
-            order = np.argsort(self.values, axis=1, kind="stable")
+            order = _argsort_rows(self.values)
             order.setflags(write=False)
             self._order = order
         return self._order
@@ -129,8 +130,52 @@ class DistanceMatrix:
         return self.order[rows, :width]
 
 
+def _argsort_rows(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, axis=1, kind="stable")``: each row in (value, index) order.
+
+    One default (unstable, SIMD where the CPU has it) argsort of every row,
+    then a check 64 rows at a time: only the rows where it left equal values
+    out of index order go to ``_repair_ties``.
+    """
+    order = np.argsort(values, axis=1)
+    n = values.shape[1]
+    offsets = n * np.arange(64)[:, None]
+    for start in range(0, len(order), 64):
+        block = order[start : start + 64]
+        # the sorted values, gathered by flat position without an index copy
+        block += offsets[: len(block)]
+        ranked = np.take(values[start : start + 64], block)
+        block -= offsets[: len(block)]
+        tie = ranked[:, 1:] == ranked[:, :-1]
+        rows = np.flatnonzero(np.any(tie & (block[:, 1:] < block[:, :-1]), axis=1))
+        if rows.size:
+            block[rows] = _repair_ties(block[rows], tie[rows])
+    return order
+
+
+def _repair_ties(order: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Each row of ``order`` with its runs of ties in ascending index order.
+
+    ``tie[:, k]`` says entries k and k + 1 of a row hold equal values.  The
+    key (run of equal values) * n + index is distinct within a row, so any
+    sort of it gives the one order; its runs stay in place.
+    """
+    n = order.shape[1]
+    run = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(~tie, axis=1, out=run[:, 1:])
+    run *= n
+    key = run + order
+    key.sort(axis=1)
+    key -= run
+    return key
+
+
 def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
-    """``argsort(values[rows], kind="stable")[:, :width]``, 64 rows at a time."""
+    """``argsort(values[rows], kind="stable")[:, :width]``, 64 rows at a time.
+
+    Each row keeps its ``width`` first members by a partition, and
+    ``_argsort_rows`` orders them.
+    """
     prefix = np.empty((len(rows), width), dtype=np.intp)
     for start in range(0, len(rows), 64):
         block = values[rows[start : start + 64]]
@@ -142,7 +187,7 @@ def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarr
         ties = block[over] == t[over]
         keep[over] &= ~ties | (np.cumsum(ties[:, ::-1], axis=1)[:, ::-1] > excess[over])
         cols = np.nonzero(keep)[1].reshape(-1, width)
-        first = np.argsort(np.take_along_axis(block, cols, axis=1), axis=1, kind="stable")
+        first = _argsort_rows(np.take_along_axis(block, cols, axis=1))
         prefix[start : start + 64] = np.take_along_axis(cols, first, axis=1)
     return prefix
 

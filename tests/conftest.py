@@ -3,17 +3,37 @@
 import numpy as np
 import pytest
 
+from metricmi import metrics
+
+
+class Sorts(list):
+    """Shapes of the 2-D arrays passed to ``np.argsort``, one entry per call.
+
+    These are the first sorts.  ``repairs`` holds what each call of
+    ``metrics._repair_ties`` was given to put in index order: its tie mask, a
+    row's entry k true where its sorted values k and k + 1 are equal.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.repairs = []
+
 
 @pytest.fixture
 def matrix_sorts(monkeypatch):
-    """Shapes of the 2-D arrays passed to ``np.argsort``, one entry per call."""
-    shapes = []
-    real_argsort = np.argsort
+    """First sorts and tie repairs of distance rows, as ``Sorts``."""
+    sorts = Sorts()
+    real_argsort, real_repair = np.argsort, metrics._repair_ties
 
     def counting(a, *args, **kwargs):
         if np.ndim(a) == 2:
-            shapes.append(np.shape(a))
+            sorts.append(np.shape(a))
         return real_argsort(a, *args, **kwargs)
 
+    def repairing(order, tie):
+        sorts.repairs.append(tie.copy())
+        return real_repair(order, tie)
+
     monkeypatch.setattr(np, "argsort", counting)
-    return shapes
+    monkeypatch.setattr(metrics, "_repair_ties", repairing)
+    return sorts

@@ -276,6 +276,8 @@ class TestEstimate:
         (["distances", "--metric", "van-rossum", "--tau", "1", "--q", "1"], "--q"),
         (["distances", "--tau", "1"], "--tau"),
         (["estimate", "--lambdas", "0.5,1.0"], "--lambdas"),
+        (["estimate", "--repeats", "3"], "--repeats"),
+        (["estimate", "--ksg", "--nk", "2", "--seed", "1"], "--seed"),
     ])
     def test_flag_nothing_reads_is_usage_error(self, tmp_path, capsys, argv, flag):
         data = self._gen(tmp_path)

@@ -399,6 +399,31 @@ class TestSpikeMatrixMatchesPairs:
         assert_matrix_matches_pairs(trains)
 
 
+TIE_KINDS = ["continuous", "integer", "zero", "duplicates", "negative-zero"]
+
+
+def tie_matrix(kind: str) -> np.ndarray:
+    """150 x 150 distances of one kind: its rows span three blocks of 64."""
+    rng = np.random.default_rng(37)
+    if kind in ("continuous", "duplicates"):
+        x = rng.normal(size=(150, 3))
+        if kind == "duplicates":
+            x[20:40] = x[5]  # 21 copies of one point
+            x[100:] = x[40:90]  # and 50 points twice
+        return distance_matrix(LabeledDataset.from_vectors(x, [0] * 150),
+                               MetricSpec.euclidean()).values.copy()
+    if kind == "zero":
+        return np.zeros((150, 150))
+    # |n_a - n_b| of spike counts: Victor-Purpura at q = 0
+    counts = rng.poisson(6, size=150).astype(np.float64)
+    values = np.abs(counts[:, None] - counts[None, :])
+    if kind == "negative-zero":
+        # accepted by the matrix, and equal to 0.0 in every comparison
+        values[(values == 0) & ~np.eye(150, dtype=bool)] = -0.0
+        assert np.signbit(values).sum() > 150
+    return values
+
+
 class TestNeighborOrder:
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=14))
     @settings(max_examples=100, deadline=None)
@@ -465,6 +490,10 @@ class TestNeighborOrder:
         assert np.array_equal(dm.order_prefix(np.arange(600), 5), want[:, :5])
         assert np.array_equal(dm.order_prefix(rows, 120), want[rows, :120])
         assert [s for s in matrix_sorts if s[1] == 120] == [(64, 120), (6, 120)]
+        # the data tie in nearly every row, but a repair takes only rows with ties
+        assert matrix_sorts.repairs
+        assert all(tie.any(axis=1).all() for tie in matrix_sorts.repairs)
+        assert sum(len(tie) for tie in matrix_sorts.repairs) <= 600 + 70
 
     def test_order_prefix_memory_stays_within_a_block_of_rows(self):
         # every distance ties at 0, so every row drops all but its first ties;
@@ -488,6 +517,36 @@ class TestNeighborOrder:
             dm.order_prefix(np.arange(200), width)
         assert sum(rows for rows, _ in matrix_sorts) == 400
         assert [s for s in matrix_sorts if s[1] == 200] == [(200, 200)]
+        assert matrix_sorts.repairs == []  # no two distances from a point are equal
+
+    @pytest.mark.parametrize("kind", TIE_KINDS)
+    def test_order_is_the_stable_sort(self, kind, matrix_sorts):
+        values = tie_matrix(kind)
+        want = np.argsort(values, axis=1, kind="stable")
+        dm = DistanceMatrix(values)
+        assert np.array_equal(dm.order, want)
+        assert all(tie.any(axis=1).all() for tie in matrix_sorts.repairs)
+
+    @pytest.mark.parametrize("kind", TIE_KINDS)
+    def test_order_prefix_ending_inside_ties(self, kind):
+        # widths whose last column ties with the next one in some row; for
+        # continuous distances there are none, so a few widths stand in
+        values = tie_matrix(kind)
+        n = len(values)
+        want = np.argsort(values, axis=1, kind="stable")
+        ranked = np.take_along_axis(values, want, axis=1)
+        inside = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=0)) + 1
+        if kind == "continuous":
+            assert inside.size == 0
+            inside = np.array([1, 7, 40, 70])
+        widths = inside[np.linspace(0, inside.size - 1, 6).astype(int)]
+        few = np.arange(2, n, 9)
+        for width in widths:
+            assert np.array_equal(DistanceMatrix(values).order_prefix(np.arange(n), width),
+                                  want[:, :width])
+            dm = DistanceMatrix(values)
+            dm.order_prefix(np.arange(n), 1)
+            assert np.array_equal(dm.order_prefix(few, width), want[few, :width])
 
     def test_basic_sort(self):
         # from i: self 0, j at 2.0, k at 1.0 -> [i, k, j]
