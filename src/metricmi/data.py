@@ -54,6 +54,24 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_spike_times(trains: list) -> None:
+    """Raise for the first of the 1-d ``trains`` that holds a non-finite or a falling time.
+
+    One pass over the trains laid end to end, the steps across two trains masked;
+    within a train, a non-finite time is reported before a falling one.
+    """
+    if not trains:
+        return
+    times = np.concatenate(trains)
+    train_of = np.repeat(np.arange(len(trains)), [t.size for t in trains])
+    bad = np.flatnonzero(~np.isfinite(times))
+    falls = np.flatnonzero((times[1:] < times[:-1]) & (train_of[1:] == train_of[:-1]))
+    if bad.size and not (falls.size and train_of[falls[0]] < train_of[bad[0]]):
+        raise DatasetError("spike times must be finite")
+    if falls.size:
+        raise DatasetError("spike times must be nondecreasing")
+
+
 class LabeledDataset:
     """Immutable balanced set of labeled responses.
 
@@ -101,16 +119,17 @@ class LabeledDataset:
                 raise DatasetError(f"expected {n_r} trains, got {len(trains)}")
             checked = []
             for t in trains:
-                t = np.asarray(t, dtype=np.float64)
-                if t.ndim != 1:
-                    raise DatasetError("spike trains must be one-dimensional")
-                if not np.all(np.isfinite(t)):
-                    raise DatasetError("spike times must be finite")
-                if t.size > 1 and np.any(np.diff(t) < 0):
-                    raise DatasetError("spike times must be nondecreasing")
-                checked.append(_as_readonly(t))
+                try:
+                    t = np.asarray(t, dtype=np.float64)
+                    if t.ndim != 1:
+                        raise DatasetError("spike trains must be one-dimensional")
+                except (TypeError, ValueError):  # an earlier train's bad times come first
+                    _check_spike_times(checked)
+                    raise
+                checked.append(t)
+            _check_spike_times(checked)
             self._vectors = None
-            self._trains = tuple(checked)
+            self._trains = tuple(_as_readonly(t) for t in checked)
 
         labels = np.ascontiguousarray(labels)
         labels.setflags(write=False)

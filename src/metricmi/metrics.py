@@ -192,7 +192,10 @@ def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarr
     return prefix
 
 
-_BLOCK = 1 << 13  # cells of a working array, whatever the number of trains
+# cells of a working array, whatever the number of trains (512 KiB of float64):
+# large enough that numpy's per-call cost is small beside the arithmetic, small
+# enough that past the matrix a 600-train fill holds about 2 MiB
+_BLOCK = 1 << 16
 
 
 def _spike_values(trains, metric_pairs, param) -> np.ndarray:
@@ -201,7 +204,8 @@ def _spike_values(trains, metric_pairs, param) -> np.ndarray:
     ``metric_pairs(columns, sizes, param)`` gives pairs(a, b), the distances of trains
     a[p] and b[p], a the earlier by length, then spike by spike.  Sorted so, the upper
     triangle fills column by column and len(b) never falls; a bucket is the longest run
-    whose pairs, len(b) + 1 rows each for its last b, fill <= ``_BLOCK`` cells.
+    whose pairs, len(b) + 1 rows each for its last b, fill <= ``_BLOCK`` cells: about
+    two thousand pairs of 20-spike trains, so each numpy call runs on many pairs.
     """
     sizes = np.array([len(t) for t in trains], dtype=np.intp)
     columns = np.zeros((int(sizes.max(initial=0)) + 1, sizes.size))  # trains, zero-padded
@@ -301,10 +305,12 @@ def _vr_pairs(columns, sizes, tau: float):
         sums = np.empty(x.size, dtype=np.float64)
         shape = sizes[x] * columns.shape[0] + sizes[y]
         by_shape = np.argsort(shape, kind="stable")
-        for group in np.split(by_shape, np.flatnonzero(np.diff(shape[by_shape])) + 1):
-            m1, m2 = sizes[x[group[0]]], sizes[y[group[0]]]
+        cuts = [0, *(np.flatnonzero(np.diff(shape[by_shape])) + 1).tolist(), x.size]
+        for lo, hi in zip(cuts, cuts[1:]):  # a group of one shape, sliced in parts
+            m1, m2 = sizes[x[by_shape[lo]]], sizes[y[by_shape[lo]]]
             step = max(1, _BLOCK // max(1, m1 * m2))
-            for part in np.split(group, range(step, group.size, step)):
+            for start in range(lo, hi, step):
+                part = by_shape[start : min(hi, start + step)]
                 e = np.subtract(columns[:m1, x[part]].T[:, :, None],
                                 columns[:m2, y[part]].T[:, None, :])
                 # exp(|x_k - y_l| / -tau), bitwise exp(-|x_k - y_l| / tau), in one buffer

@@ -23,6 +23,15 @@ def _vec_dataset(rng, n_s=3, n_t=4, n_d=2):
     return LabeledDataset.from_vectors(X, labels)
 
 
+# one bad train of each kind, and the error it raises
+BAD_TRAINS = {
+    "2-d": ([[0.1, 0.2]], "spike trains must be one-dimensional"),
+    "not a number": (["x"], "could not convert string to float"),
+    "non-finite": ([0.1, np.inf], "spike times must be finite"),
+    "falling": ([0.5, 0.1], "spike times must be nondecreasing"),
+}
+
+
 class TestResponsePoint:
     """Each response as the dataset constructor checks and stores it."""
 
@@ -43,6 +52,25 @@ class TestResponsePoint:
     def test_bare_number_is_not_a_train(self):
         with pytest.raises(DatasetError, match="spike trains must be one-dimensional"):
             LabeledDataset.from_spike_trains([0.5, [0.2]], [0, 0])
+
+    @pytest.mark.parametrize("first, second", [(a, b) for a in BAD_TRAINS for b in BAD_TRAINS
+                                               if a != b])
+    def test_first_bad_train_decides_the_message(self, first, second):
+        # good trains around and between; empty ones at both ends
+        trains = [[], [0.3], BAD_TRAINS[first][0], [0.1, 0.2],
+                  BAD_TRAINS[second][0], [0.4], []]
+        with pytest.raises(ValueError, match=BAD_TRAINS[first][1]):
+            LabeledDataset.from_spike_trains(trains, [0] * 7)
+
+    def test_non_finite_comes_before_falling_in_one_train(self):
+        for train in ([0.5, 0.1, np.nan], [np.nan, 0.5, 0.1], [-np.inf, 0.5, 0.1]):
+            with pytest.raises(DatasetError, match="spike times must be finite"):
+                LabeledDataset.from_spike_trains([[0.2], train, [0.9, 0.1]], [0, 0, 0])
+
+    def test_times_may_fall_from_one_train_to_the_next(self):
+        trains = [[0.9], [], [0.1, 0.8], [0.2], [0.2, 0.2], [-1.0, -0.0, 0.0]]
+        ds = LabeledDataset.from_spike_trains(trains, [0] * 6)
+        assert [t.tolist() for t in ds.trains] == trains
 
     def test_empty_spike_train_ok(self):
         ds = LabeledDataset.from_spike_trains([[], [0.1]], [0, 0])

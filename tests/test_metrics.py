@@ -387,6 +387,18 @@ class TestSpikeMatrixMatchesPairs:
         monkeypatch.setattr(metrics, "_BLOCK", block)
         assert_matrix_matches_pairs(trains)
 
+    @pytest.mark.parametrize("m", [MetricSpec.victor_purpura(0.0), MetricSpec.victor_purpura(10.0),
+                                   MetricSpec.van_rossum(0.02)], ids=["vp-q0", "vp-q10", "vr"])
+    def test_block_size_changes_no_bit_at_workload_scale(self, monkeypatch, m):
+        # 300 trains of 10-30 Hz over 1 s: buckets of many pairs of mixed lengths
+        rng = np.random.default_rng(25)
+        rates = np.repeat(rng.uniform(10.0, 30.0, size=10), 30)
+        trains = [np.sort(rng.uniform(0.0, 1.0, k)) for k in rng.poisson(rates)]
+        ds = LabeledDataset.from_spike_trains(trains, np.repeat(np.arange(10), 30))
+        want = distance_matrix(ds, m).values
+        monkeypatch.setattr(metrics, "_BLOCK", 1 << 13)
+        assert np.array_equal(distance_matrix(ds, m).values, want)
+
     def test_single_train(self):
         for train in ([], [0.25, 0.5]):
             ds = LabeledDataset.from_spike_trains([train], [0])

@@ -13,6 +13,12 @@ quartiles of each end-to-end metric, the op counts (``peak_rss_mb`` is a
 process maximum after a fixed-time loop, so it grows with the number of ops
 a run fits), in how many pairs the change was better, every raw run, and each
 side's ``src_lines``, the line count of its ``src/metricmi/*.py`` (as ``wc -l``).
+After the pairs, ``perfbench/run.py --trace 1`` runs once per side and workload
+at seed 10, and the file holds the per-layer metrics it prints (per traced op).
+
+The exit status is 1 if any run, paired or traced, read ``"correct": false`` or
+had failed ops (the file is still written, and each such run is named on
+standard error), or if ``perfbench/run.py`` itself failed; otherwise 0.
 """
 
 from __future__ import annotations
@@ -26,23 +32,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(10, 20))
+TRACE_SEED = SEEDS[0]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run: its end-to-end metrics, op counts and raw times."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` run: its metrics and op counts, and raw times if untraced."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: {' '.join(cmd)} exited with status {proc.returncode}")
     lines = proc.stdout.strip().splitlines()
-    return slim(json.loads(lines[0])["info"], json.loads(lines[-1]))
-
-
-def slim(info: dict, result: dict) -> dict:
-    """The parts of a run's info and result lines that the summary keeps."""
+    result = json.loads(lines[-1])
     run = {key: result[key] for key in ("attempted", "failed", "correct")}
     run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
-    run.update({key: info[key] for key in (
-        "op_mean_s", "yardstick_s", "cores", "python", "numpy", "scipy")})
+    if not trace:
+        info = json.loads(lines[0])["info"]
+        run.update({key: info[key] for key in (
+            "op_mean_s", "yardstick_s", "cores", "python", "numpy", "scipy")})
     return run
 
 
@@ -83,8 +92,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def write_summary(out: Path, runs: list[dict], spec: dict, workloads: list[str],
-                  sides: dict) -> None:
+def write_summary(out: Path, runs: list[dict], traced: dict, spec: dict,
+                  workloads: list[str], sides: dict) -> None:
     doc = {
         "command": f"python3 tools/bench_pair.py --parent <parent checkout> --out {out.name}",
         "seeds": SEEDS,
@@ -95,6 +104,9 @@ def write_summary(out: Path, runs: list[dict], spec: dict, workloads: list[str],
         "quartiles": "statistics.quantiles(n=4), exclusive method",
         "workloads": {w: summarize([r for r in runs if r["workload"] == w],
                                    spec["end_to_end"]) for w in workloads},
+        "per_layer": {"seed": TRACE_SEED,
+                      "units": {m["name"]: m["unit"] for m in spec["per_layer"]},
+                      "workloads": traced},
         "runs": runs,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
@@ -122,8 +134,23 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: op_mean_ref {value:.3f}, "
                       f"{result['attempted']} ops, {result['failed']} failed", file=sys.stderr)
 
-    write_summary(args.out, runs, spec, workloads, sides)
-    return 0
+    traced = {}
+    for workload in workloads:
+        for side in ("parent", "change"):
+            run = run_once(sides[side], workload, TRACE_SEED, spec["run_seconds"], trace=True)
+            traced.setdefault(workload, {})[side] = run
+            print(f"{workload} seed {TRACE_SEED} {side}, traced: {run['attempted']} ops, "
+                  f"{run['failed']} failed", file=sys.stderr)
+
+    write_summary(args.out, runs, traced, spec, workloads, sides)
+    checked = [(f"{r['workload']} seed {r['seed']} {r['side']}", r) for r in runs] + [
+        (f"{w} seed {TRACE_SEED} {side}, traced", run)
+        for w, by_side in traced.items() for side, run in by_side.items()]
+    bad = [(name, r) for name, r in checked if r["failed"] or not r["correct"]]
+    for name, r in bad:
+        print(f"error: {name}: {r['failed']} failed ops, correct {str(r['correct']).lower()}",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
