@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -35,9 +36,23 @@ class BiasFit:
     residual: float
 
 
-def usable_lambdas(lambdas, n_t: int) -> tuple:
-    """The fractions of ``lambdas`` that leave at least 2 trials per stimulus."""
-    return tuple(lam for lam in lambdas if math.floor(lam * n_t) >= 2)
+def usable_lambdas(lambdas, n_t: int, fewest: int = 2) -> tuple:
+    """The fractions of ``lambdas`` that leave at least ``fewest`` trials per stimulus."""
+    return tuple(lam for lam in lambdas if math.floor(lam * n_t) >= fewest)
+
+
+def _fewest_trials(d: LabeledDataset, config) -> int:
+    """The fewest trials per stimulus on which ``config`` can be evaluated, at least 2.
+
+    KSG needs n_k + 1, and a kernel a bandwidth of at least one point once it
+    is scaled to the subsample.  Above n_t where not even all points will do.
+    """
+    if isinstance(config, KsgConfig):
+        return config.n_k + 1
+    if isinstance(config, KernelConfig):
+        return next((k for k in range(2, d.n_t + 1)
+                     if config.subset_bandwidth(d.n_r, d.n_s * k) >= 1), d.n_t + 1)
+    return 2
 
 
 def subsample_draws(
@@ -45,13 +60,18 @@ def subsample_draws(
     lambdas=None,
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
+    config=None,
 ) -> list[tuple[int, list[np.ndarray]]]:
     """The subsamples of a curve: [(n_t_sub, [indices, ...]), ...].
 
-    Each fraction lam keeps floor(lam * n_t) trials per stimulus; given
-    fractions below 2 trials are rejected, and ``None`` takes those of
-    ``DEFAULT_LAMBDAS`` that leave at least 2.  For lam < 1 there are
-    ``repeats`` independent stratified draws (substreams derived from (seed,
+    Each fraction lam keeps floor(lam * n_t) trials per stimulus.  Given
+    fractions are rejected below 2 trials, or below the fewest that the
+    estimator ``config``, if given, can evaluate: n_k + 1 for KSG, and a
+    kernel bandwidth of one point.  ``None`` takes those of
+    ``DEFAULT_LAMBDAS`` that leave enough, and the whole dataset alone where
+    the config cannot evaluate fewer trials, so that it fails on all points
+    with the estimator's own message.  For lam < 1 there are ``repeats``
+    independent stratified draws (substreams derived from (seed,
     lambda-index, repeat-index), so results do not depend on evaluation
     order); lam = 1 is the whole dataset, once.
     """
@@ -59,8 +79,11 @@ def subsample_draws(
         raise ValueError("repeats must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if lambdas is None:
-        lambdas = usable_lambdas(DEFAULT_LAMBDAS, d.n_t)
+    fewest = 2 if config is None else _fewest_trials(d, config)
+    explicit = lambdas is not None
+    if not explicit:
+        # a config that cannot evaluate even all points gets them alone
+        lambdas = usable_lambdas(DEFAULT_LAMBDAS, d.n_t, max(2, min(fewest, d.n_t)))
         if not lambdas:
             raise ValueError(
                 f"no default subsample fraction leaves 2 trials per stimulus at n_t = {d.n_t}"
@@ -77,6 +100,9 @@ def subsample_draws(
             raise ValueError(
                 f"fraction {lam} leaves {n_t_sub} < 2 trials per stimulus"
             )
+        if explicit and n_t_sub < fewest:
+            raise ValueError(f"fraction {lam} leaves {n_t_sub} trials per stimulus; "
+                             f"{config!r} needs at least {fewest}")
         if n_t_sub == d.n_t:
             subsets = [np.arange(d.n_r, dtype=np.intp)]
         else:
@@ -113,11 +139,16 @@ def subsample_curve(
 def _traced_subset_bits(d, dm, config, subsets) -> list[float]:
     # config.subset_bits, except for two names of this module that the
     # benchmark in perfbench/ replaces while it runs: the KSG whole-dataset
-    # point still comes from ksg_mi, and kernel counts still become bits
-    # here.  Both go once the benchmark stops naming them (ROADMAP item 5).
+    # point still comes from ksg_mi (each run of subsamples around it is one
+    # subset_bits call), and kernel counts still become bits here.  Both go
+    # once the benchmark stops naming them (ROADMAP item 5).
     if isinstance(config, KsgConfig):
-        return [ksg_mi(d, dm, config).bits if s.size == d.n_r
-                else config.subset_bits(d, dm, [s])[0] for s in subsets]
+        bits = []
+        for whole, run in groupby(subsets, lambda s: s.size == d.n_r):
+            run = list(run)
+            bits += ([ksg_mi(d, dm, config).bits for _ in run] if whole
+                     else config.subset_bits(d, dm, run))
+        return bits
     if isinstance(config, KernelConfig):
         return [kernel_bits_from_counts(c, d.n_s, n_h)
                 for c, n_h in config.subset_counts(d, dm, subsets)]
@@ -172,8 +203,22 @@ def quadratic_extrapolate(curve) -> BiasFit:
 
 
 def bias_corrected_mi(
-    d: LabeledDataset, dm: DistanceMatrix | None, config, draws
-) -> tuple[BiasFit, list[tuple[int, float]]]:
-    """Subsample curve on ``draws`` plus its quadratic fit; intercept is the corrected MI."""
-    curve = subsample_curve(d, dm, config, draws)
-    return quadratic_extrapolate(curve), curve
+    d: LabeledDataset, dm: DistanceMatrix | None, config, draws, *, return_raw: bool = False
+) -> tuple:
+    """Subsample curve on ``draws`` plus its quadratic fit; intercept is the corrected MI.
+
+    Returns (fit, curve), and with ``return_raw`` (fit, curve, raw): raw is
+    the estimate on all points, from the same ``subset_bits`` call as the
+    curve and bitwise equal to the estimator's own.  It is the curve's point
+    at n_t; draws without one get the whole dataset as a last subset, which
+    neither the curve nor the fit includes.
+    """
+    full = []
+    if return_raw and all(n_t_sub != d.n_t for n_t_sub, _ in draws):
+        full = [(d.n_t, [np.arange(d.n_r, dtype=np.intp)])]
+    curve = subsample_curve(d, dm, config, [*draws, *full])
+    fit = quadratic_extrapolate(curve[: len(draws)])
+    if not return_raw:
+        return fit, curve
+    raw = next(bits for n_t_sub, bits in curve if n_t_sub == d.n_t)
+    return fit, curve[: len(draws)], raw

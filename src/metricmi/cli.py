@@ -235,40 +235,40 @@ def _cmd_estimate(args, parser) -> int:
 
 
 def _estimate(args, parser, dataset) -> dict:
+    # under --bias-correct the raw value is the curve's point on all points,
+    # from the one call that evaluates the curve
+    dm = None
     if args.histogram:
         origin = 0.0 if args.origin is None else args.origin
         config = HistogramConfig(width=args.bin_width, origin=origin)
-        estimate = histogram_mi(dataset, config)
-        dm = None
     else:
         metric = _metric_from_args(args, dataset.kind, parser)
         if args.ksg:
             config = KsgConfig(n_k=args.nk)
-            estimator = ksg_mi
+        elif args.nh is not None:
+            config = KernelConfig(n_h=args.nh)
+        elif args.h_frac is not None:
+            config = KernelConfig(h=args.h_frac)
         else:
-            if args.nh is not None:
-                config = KernelConfig(n_h=args.nh)
-            elif args.h_frac is not None:
-                config = KernelConfig(h=args.h_frac)
-            else:
-                config = KernelConfig(n_h=dataset.n_t)
-            estimator = kernel_mi
+            config = KernelConfig(n_h=dataset.n_t)
         dm = distance_matrix(dataset, metric)
-        estimate = estimator(dataset, dm, config)
 
-    out = {"estimator": estimate.estimator, "config": estimate.config,
-           "bits": estimate.bits}
-    if args.bias_correct:
-        repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
-        seed = 0 if args.seed is None else args.seed
-        draws = subsample_draws(dataset, args.lambdas, repeats, seed)
-        fit, curve = bias_corrected_mi(dataset, dm, config, draws)
-        out["curve"] = [[size, bits] for size, bits in curve]
-        out["intercept_bits"] = fit.intercept_bits
-        out["A_bits"] = fit.A_bits
-        out["B_bits"] = fit.B_bits
-        out["residual"] = fit.residual
-    return out
+    if not args.bias_correct:
+        if args.histogram:
+            estimate = histogram_mi(dataset, config)
+        else:
+            estimate = (ksg_mi if args.ksg else kernel_mi)(dataset, dm, config)
+        return {"estimator": estimate.estimator, "config": estimate.config,
+                "bits": estimate.bits}
+    repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
+    seed = 0 if args.seed is None else args.seed
+    draws = subsample_draws(dataset, args.lambdas, repeats, seed, config)
+    fit, curve, raw = bias_corrected_mi(dataset, dm, config, draws, return_raw=True)
+    estimate = config.tag(raw, dataset.n_r)
+    return {"estimator": estimate.estimator, "config": estimate.config,
+            "bits": estimate.bits, "curve": [[size, bits] for size, bits in curve],
+            "intercept_bits": fit.intercept_bits, "A_bits": fit.A_bits,
+            "B_bits": fit.B_bits, "residual": fit.residual}
 
 
 def _cmd_benchmark(args, parser) -> int:

@@ -9,6 +9,7 @@ seconds); the two variants never mix within a dataset.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -226,57 +227,98 @@ def _parse_float(token: str, path, line_no: int) -> float:
     return value
 
 
+def _read_lines(path) -> list[str]:
+    # the file's lines without their newlines, as iterating over it gives them
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last newline ends a line; it starts none
+    return lines
+
+
 def _load_csv_vectors(path) -> LabeledDataset:
+    # one pass: every coordinate through one float conversion, the checks in
+    # the constructor.  Any failure re-parses line by line for the first
+    # bad line's message and number.
+    lines = _read_lines(path)
+    rows = [line.split(",") for line in lines]
+    width = len(rows[0]) if rows else 0
+    if width >= 2 and all(len(row) == width for row in rows):
+        try:
+            labels = [int(row[0]) for row in rows]
+            coords = list(map(float, chain.from_iterable(row[1:] for row in rows)))
+            vectors = np.array(coords).reshape(len(rows), width - 1)
+            return LabeledDataset.from_vectors(vectors, labels)
+        except (ValueError, OverflowError):
+            pass
+    return _parse_csv_lines(path, lines)
+
+
+def _parse_csv_lines(path, lines) -> LabeledDataset:
     labels, rows = [], []
     n_d = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise DatasetParseError(path, line_no, "blank line")
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DatasetParseError(path, line_no, "expected label,x0,...")
-            labels.append(_parse_label(parts[0], path, line_no))
-            coords = [_parse_float(p, path, line_no) for p in parts[1:]]
-            if n_d is None:
-                n_d = len(coords)
-            elif len(coords) != n_d:
-                raise MixedVariantError(
-                    f"{path}:{line_no}: row has {len(coords)} coordinates, expected {n_d}"
-                )
-            rows.append(coords)
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            raise DatasetParseError(path, line_no, "blank line")
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise DatasetParseError(path, line_no, "expected label,x0,...")
+        labels.append(_parse_label(parts[0], path, line_no))
+        coords = [_parse_float(p, path, line_no) for p in parts[1:]]
+        if n_d is None:
+            n_d = len(coords)
+        elif len(coords) != n_d:
+            raise MixedVariantError(
+                f"{path}:{line_no}: row has {len(coords)} coordinates, expected {n_d}"
+            )
+        rows.append(coords)
     if not rows:
         raise DatasetParseError(path, 1, "empty file")
     return LabeledDataset.from_vectors(np.asarray(rows), labels)
 
 
 def _load_spike_text(path) -> LabeledDataset:
+    # one pass, as for csv-vectors: the times through one float conversion,
+    # their checks in the constructor, and any failure re-parsed line by line
+    lines = _read_lines(path)
+    rows = [line.split() for line in lines]
+    try:
+        labels = [int(row[0]) for row in rows]
+        counts = [int(row[1]) for row in rows]
+        if rows and all(len(row) == 2 + k for row, k in zip(rows, counts)):
+            times = list(map(float, chain.from_iterable(row[2:] for row in rows)))
+            trains = np.split(np.array(times), np.cumsum(counts[:-1]))
+            return LabeledDataset.from_spike_trains(trains, labels)
+    except (IndexError, ValueError, OverflowError):
+        pass
+    return _parse_spike_lines(path, lines)
+
+
+def _parse_spike_lines(path, lines) -> LabeledDataset:
     labels, trains = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                raise DatasetParseError(path, line_no, "blank line")
-            if len(parts) < 2:
-                raise DatasetParseError(path, line_no, "expected label k t1 ... tk")
-            labels.append(_parse_label(parts[0], path, line_no))
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise DatasetParseError(
-                    path, line_no, f"bad spike count {parts[1]!r}"
-                ) from None
-            if k < 0:
-                raise DatasetParseError(path, line_no, f"negative spike count {k}")
-            if len(parts) != 2 + k:
-                raise DatasetParseError(
-                    path, line_no, f"expected {k} spike times, found {len(parts) - 2}"
-                )
-            times = [_parse_float(p, path, line_no) for p in parts[2:]]
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise DatasetParseError(path, line_no, "spike times must be ascending")
-            trains.append(np.asarray(times))
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            raise DatasetParseError(path, line_no, "blank line")
+        if len(parts) < 2:
+            raise DatasetParseError(path, line_no, "expected label k t1 ... tk")
+        labels.append(_parse_label(parts[0], path, line_no))
+        try:
+            k = int(parts[1])
+        except ValueError:
+            raise DatasetParseError(
+                path, line_no, f"bad spike count {parts[1]!r}"
+            ) from None
+        if k < 0:
+            raise DatasetParseError(path, line_no, f"negative spike count {k}")
+        if len(parts) != 2 + k:
+            raise DatasetParseError(
+                path, line_no, f"expected {k} spike times, found {len(parts) - 2}"
+            )
+        times = [_parse_float(p, path, line_no) for p in parts[2:]]
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise DatasetParseError(path, line_no, "spike times must be ascending")
+        trains.append(np.asarray(times))
     if not trains:
         raise DatasetParseError(path, 1, "empty file")
     return LabeledDataset.from_spike_trains(trains, labels)

@@ -1,9 +1,11 @@
 """Mutual information estimators for a discrete stimulus and metric-space responses.
 
-Each estimator is a config class with one method, ``subset_bits(d, dm,
-subsets)``: the estimate on each of a list of subsets (index arrays) of a
-labeled dataset.  The first two read it through its distance matrix, and only
-on ascending subsets with equally many points of each stimulus:
+Each estimator is a config class whose method ``subset_bits(d, dm, subsets)``
+gives the estimate on each of a list of subsets (index arrays) of a labeled
+dataset, and whose ``tag(bits, n_r)`` names the estimator and its resolved
+config beside an estimate on all points.  The first two read the dataset
+through its distance matrix, and only on ascending subsets with equally many
+points of each stimulus:
 
 * ``KernelConfig`` - square-kernel density estimate with the bandwidth given as
   probability mass: the kernel around a point is the region holding its
@@ -14,7 +16,7 @@ on ascending subsets with equally many points of each stimulus:
 * ``HistogramConfig`` - plug-in estimate over fixed-width bins (vector data
   only), the classical baseline.
 
-``kernel_mi``, ``ksg_mi`` and ``histogram_mi`` are that method on the one
+``kernel_mi``, ``ksg_mi`` and ``histogram_mi`` are ``subset_bits`` on the one
 subset of all points; a bias curve calls it once on all of its subsamples.
 Estimates are reported in bits.  All counting uses the deterministic
 (distance, index) neighbor order, so results are reproducible bit for bit.
@@ -57,16 +59,20 @@ class KernelConfig:
         """Neighbor count for a dataset of n_r points."""
         return self._bandwidth(n_r, n_r)
 
-    def _bandwidth(self, n_r: int, size: int) -> int:
-        # Hold the mass fraction constant on a subset of `size` of the n_r
-        # points.  A count scales by exact integer arithmetic, so that all
-        # n_r points keep the configured n_h bit for bit.
+    def subset_bandwidth(self, n_r: int, size: int) -> int:
+        """The bandwidth on a subset of ``size`` of the n_r points; 0 where it holds none.
+
+        The mass fraction is held constant.  A count scales by exact integer
+        arithmetic, so that all n_r points keep the configured n_h bit for bit.
+        """
         if self.n_h is None:
-            n_h = math.floor(self.h * size)
-        elif self.n_h > n_r:
+            return math.floor(self.h * size)
+        return (self.n_h * size) // n_r
+
+    def _bandwidth(self, n_r: int, size: int) -> int:
+        if self.n_h is not None and self.n_h > n_r:
             raise ValueError(f"n_h = {self.n_h} exceeds the {n_r} data points")
-        else:
-            n_h = (self.n_h * size) // n_r
+        n_h = self.subset_bandwidth(n_r, size)
         if n_h < 1:
             raise ValueError(f"bandwidth resolves to zero points on {size} of the {n_r} points")
         return n_h
@@ -74,22 +80,27 @@ class KernelConfig:
     def subset_counts(self, d: LabeledDataset, dm: DistanceMatrix, subsets):
         """Yield (c, n_h) of each subset: its bandwidth, and c_i of each of its points.
 
-        The first prefix the counts read is 2 * n_h columns; a fraction on
-        all points reads ceil(2 * h * n_r), the widest its subsets ask for.
+        Every subset's counts first read the prefix that all points read,
+        2 * n_h columns or ceil(2 * h * n_r) for a fraction.  No subset asks
+        for more, so the prefix that the first read keeps serves all the
+        others, whichever subset comes first.
         """
         _check_inputs(d, dm, "kernel")
         table = NeighborTable(dm, d.labels)
+        width = 2 * self.n_h if self.h is None else math.ceil(2 * self.h * d.n_r)
         for subset in subsets:
             _trials(d, subset)
             n_h = self._bandwidth(d.n_r, subset.size)
-            whole = self.h is not None and subset.size == d.n_r
-            width = math.ceil(2 * self.h * d.n_r) if whole else 2 * n_h
             yield table.kernel_counts(n_h, subset, width), n_h
 
     def subset_bits(self, d: LabeledDataset, dm: DistanceMatrix, subsets) -> list[float]:
         """Kernel estimate in bits on each subset, at the bandwidth scaled to its size."""
         return [kernel_bits_from_counts(c, d.n_s, n_h)
                 for c, n_h in self.subset_counts(d, dm, subsets)]
+
+    def tag(self, bits: float, n_r: int) -> "MiEstimate":
+        """``bits`` as the kernel estimate on all n_r points."""
+        return MiEstimate(bits, "kernel", {"n_h": self.resolve(n_r), "h": self.h})
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,10 @@ class KsgConfig:
             bits.append(nats / _LN2)
         return bits
 
+    def tag(self, bits: float, n_r: int) -> "MiEstimate":
+        """``bits`` as the KSG estimate on all n_r points."""
+        return MiEstimate(bits, "ksg", {"n_k": self.n_k})
+
 
 @dataclass(frozen=True)
 class HistogramConfig:
@@ -146,6 +161,10 @@ class HistogramConfig:
         if d.kind != VECTOR:
             raise MixedVariantError("histogram estimator requires vector responses")
         return plugin_bits(bin_ids(d.vectors, self), d.labels, d.n_s, subsets)
+
+    def tag(self, bits: float, n_r: int) -> "MiEstimate":
+        """``bits`` as the histogram estimate on all n_r points."""
+        return MiEstimate(bits, "histogram", {"width": self.width, "origin": self.origin})
 
 
 @dataclass(frozen=True)
@@ -209,16 +228,20 @@ class NeighborTable:
         self._n_s = kinds.size
         self._dm = dm
 
+    def _columns(self, members: int, subset) -> int:
+        # columns of the whole order that hold about `members` of the subset
+        n = self._labels.size
+        return members if subset is None else -(-members * n // subset.size)
+
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
         # count(points, cols, tags) -> (counts, found) on the order prefixes
         # cols of the rows points, tags[j] the label id of member j and -1
-        # elsewhere; a row is done once it has found `need` or has been read
-        # in full
+        # elsewhere; the first prefix is `width` columns, and a row is done
+        # once it has found `need` or has been read in full
         n = self._labels.size
         subset = np.arange(n) if subset is None else subset
         tags = np.full(n, -1, dtype=np.int32)
         tags[subset] = self._labels[subset]
-        width = -(-width * n // subset.size)
         counts, found = np.empty((2, subset.size), dtype=np.int64)
         todo = np.arange(subset.size)
         while todo.size:
@@ -237,7 +260,8 @@ class NeighborTable:
         The point itself is one of them, unless n_h or more lower-index
         members tie with it at distance 0 and push it out, so that c_i can be
         0 (ROADMAP item 1); a subset of fewer than n_h members counts them
-        all.  The first prefix is ``width`` columns, 2 * n_h by default.
+        all.  The first prefix is ``width`` columns of the whole order, by
+        default those that hold about 2 * n_h members.
         """
         labels = self._labels
 
@@ -247,7 +271,7 @@ class NeighborTable:
             same = tag == labels[points, None]
             return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
 
-        return self._count(subset, n_h, width or 2 * n_h, count)[0]
+        return self._count(subset, n_h, width or self._columns(2 * n_h, subset), count)[0]
 
     def ksg_counts(self, n_k: int, subset=None) -> tuple[np.ndarray, np.ndarray]:
         """(C, usable): each member's KSG count and its usable neighbors found.
@@ -268,7 +292,7 @@ class NeighborTable:
             others &= np.arange(cols.shape[1]) <= anchor[:, None]
             return np.count_nonzero(others, axis=1), run[:, -1]
 
-        return self._count(subset, n_k, 2 * n_k * self._n_s, count)
+        return self._count(subset, n_k, self._columns(2 * n_k * self._n_s, subset), count)
 
 
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:
@@ -292,8 +316,7 @@ def kernel_mi(d: LabeledDataset, dm: DistanceMatrix, config: KernelConfig) -> Mi
     the upper end exactly when each stimulus's responses are mutually
     nearest.
     """
-    bits = config.subset_bits(d, dm, [np.arange(d.n_r)])[0]
-    return MiEstimate(bits, "kernel", {"n_h": config.resolve(d.n_r), "h": config.h})
+    return config.tag(config.subset_bits(d, dm, [np.arange(d.n_r)])[0], d.n_r)
 
 
 def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstimate:
@@ -303,8 +326,7 @@ def ksg_mi(d: LabeledDataset, dm: DistanceMatrix, config: KsgConfig) -> MiEstima
     the points of any stimulus within reach of i's n_k-th nearest
     same-stimulus response; bits = I_e / ln 2.
     """
-    bits = config.subset_bits(d, dm, [np.arange(d.n_r)])[0]
-    return MiEstimate(bits, "ksg", {"n_k": config.n_k})
+    return config.tag(config.subset_bits(d, dm, [np.arange(d.n_r)])[0], d.n_r)
 
 
 def bin_ids(vectors: np.ndarray, config: HistogramConfig) -> np.ndarray:
@@ -383,7 +405,4 @@ def histogram_mi(d: LabeledDataset, config: HistogramConfig) -> MiEstimate:
     Evaluated by ``plugin_bits`` on the one subset of all points, the code
     that every subsample of a histogram bias curve runs.
     """
-    bits = config.subset_bits(d, None, [np.arange(d.n_r)])[0]
-    return MiEstimate(
-        bits, "histogram", {"width": config.width, "origin": config.origin}
-    )
+    return config.tag(config.subset_bits(d, None, [np.arange(d.n_r)])[0], d.n_r)

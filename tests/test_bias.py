@@ -1,12 +1,14 @@
 """Subsample curves and the quadratic extrapolation in 1/n_t."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from metricmi import (
+    DEFAULT_LAMBDAS,
     DistanceMatrix,
     HistogramConfig,
     KernelConfig,
@@ -160,6 +162,68 @@ class TestSubsampleCurve:
         single = LabeledDataset.from_vectors(np.zeros((2, 1)), [0, 1])
         with pytest.raises(ValueError, match="at n_t = 1$"):
             subsample_draws(single)
+
+    @pytest.mark.parametrize("config, fewest", [
+        (KsgConfig(n_k=3), 4), (KernelConfig(n_h=5), 4), (KernelConfig(h=0.02), 5),
+        (KernelConfig(n_h=20), 2), (HistogramConfig(width=0.5), 2),
+    ], ids=["ksg", "n_h", "h", "n_h=n_t", "histogram"])
+    def test_default_grid_keeps_fractions_the_config_evaluates(self, config, fewest):
+        # n_s = 10, n_t = 20: KSG needs n_k + 1 trials, and a kernel a
+        # bandwidth of one point on the subsample; the fractions kept draw as
+        # if given alone, so a kernel at n_h = n_t, as in the toy benchmark,
+        # keeps the plain default grid
+        ds, _ = toy(np.random.default_rng(5), n_s=10, n_t=20)
+        draws = subsample_draws(ds, None, 3, 2, config)
+        kept = [lam for lam in DEFAULT_LAMBDAS if math.floor(lam * 20) >= fewest]
+        assert [n for n, _ in draws] == [math.floor(lam * 20) for lam in kept]
+        alone = subsample_draws(ds, kept, 3, 2)
+        for (_, subsets), (_, subsets_alone) in zip(draws, alone, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(subsets, subsets_alone))
+        too_small = [lam for lam in DEFAULT_LAMBDAS if lam not in kept]
+        if too_small:
+            lam = too_small[0]
+            msg = (f"fraction {lam} leaves {math.floor(lam * 20)} trials per stimulus; "
+                   f"{config!r} needs at least {fewest}")
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                subsample_draws(ds, (lam, 0.5, 1.0), 3, 2, config)
+
+    def test_default_grid_on_too_few_trials_is_all_points(self):
+        # where no subsample can do, all points are the grid, and the
+        # estimator's own message names them
+        ds, dm = toy(np.random.default_rng(5), n_s=2, n_t=3)
+        draws = subsample_draws(ds, None, 3, 2, KsgConfig(n_k=3))
+        assert [n for n, _ in draws] == [3]
+        msg = "n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            subsample_curve(ds, dm, KsgConfig(n_k=3), draws)
+
+    @pytest.mark.parametrize("lambdas", [(0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75),
+                                         (1.0, 0.5, 0.25)], ids=["full", "no-full", "descending"])
+    @pytest.mark.parametrize("config", [KernelConfig(n_h=12), KernelConfig(h=0.15),
+                                        KsgConfig(n_k=2), HistogramConfig(width=0.7)],
+                             ids=["n_h", "h", "ksg", "histogram"])
+    def test_raw_value_comes_from_the_curve_call(self, config, lambdas):
+        ds, dm = toy(np.random.default_rng(6), n_s=3, n_t=12)
+        estimator = {KernelConfig: kernel_mi, KsgConfig: ksg_mi}.get(type(config))
+        direct = (estimator(ds, dm, config) if estimator else histogram_mi(ds, config)).bits
+        draws = subsample_draws(ds, lambdas, 3, 7)
+        fit, curve, raw = bias_corrected_mi(ds, dm, config, draws, return_raw=True)
+        assert raw == direct
+        # the whole dataset, when the fractions lack it, is in neither curve nor fit
+        assert (fit, curve) == bias_corrected_mi(ds, dm, config, draws)
+        assert [n for n, _ in curve] == [math.floor(lam * 12) for lam in lambdas]
+
+    def test_raw_value_sorts_one_prefix_whichever_subset_comes_first(self, matrix_sorts):
+        # a kernel subset reads first at the width of all points, 2 * n_h, the
+        # widest any subset asks for; all points, evaluated last, read within it
+        ds, dm = toy(np.random.default_rng(40), n_s=10, n_t=60, n_d=3)
+        cfg = KernelConfig(n_h=25)
+        for lambdas in ((0.4, 0.6, 0.8), (0.1, 0.5, 0.9), (0.9, 0.5, 0.1)):
+            dm = DistanceMatrix(dm.values)
+            matrix_sorts.clear()
+            bias_corrected_mi(ds, dm, cfg, subsample_draws(ds, lambdas, 10), return_raw=True)
+            assert sum(rows for rows, width in matrix_sorts if width == 50) == ds.n_r
+            assert sum(rows for rows, width in matrix_sorts if width != 50) < ds.n_r // 8
 
     def test_deterministic(self):
         ds, dm = toy(np.random.default_rng(4))

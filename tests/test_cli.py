@@ -155,7 +155,7 @@ class TestEstimate:
         else:
             fields[key] = -math.inf if key == "A_bits" else math.nan
         monkeypatch.setattr("metricmi.cli.bias_corrected_mi",
-                            lambda *args: (BiasFit(**fields), curve))
+                            lambda *args, **kwargs: (BiasFit(**fields), curve, 1.0))
         data = self._gen(tmp_path)
         out = tmp_path / "e.json"
         assert run_cli(["estimate", "--input", str(data), "--bias-correct",
@@ -183,6 +183,92 @@ class TestEstimate:
                         "--bias-correct", "-o", str(tmp_path / "e.json")]) == 0
         assert sum(rows for rows, _ in matrix_sorts) == 610
         assert {width for _, width in matrix_sorts} == {183}
+
+    @pytest.mark.parametrize("lambdas", [[], ["--lambdas", "0.4,0.6,0.8"]],
+                             ids=["default-grid", "no-full-fraction"])
+    @pytest.mark.parametrize("flags", [
+        [], ["--nh", "25"], ["--h-frac", "0.15"], ["--ksg", "--nk", "3"],
+        ["--histogram", "--bin-width", "0.5"],
+    ], ids=["kernel", "nh", "h-frac", "ksg", "histogram"])
+    def test_bias_correct_raw_value_is_the_plain_estimate(self, tmp_path, capsys, flags,
+                                                          lambdas):
+        # the raw value comes from the curve's own call: its point at n_t, or
+        # a subset of all points that the curve and the fit leave out
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "5", "--nd", "3", "--nt", "21", "--sigma2", "0.3",
+                 "--seed", "2", "-o", str(data)])
+        capsys.readouterr()
+        assert run_cli(["estimate", "--input", str(data), *flags]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert run_cli(["estimate", "--input", str(data), *flags, "--bias-correct",
+                        *lambdas]) == 0
+        corrected = json.loads(capsys.readouterr().out)
+        assert repr(corrected["bits"]) == repr(plain["bits"])
+        assert json.dumps(corrected["config"]) == json.dumps(plain["config"])
+        sizes = [n for n, _ in corrected["curve"]]
+        if lambdas:
+            assert sizes == [8, 12, 16]
+        else:
+            assert sizes[-1] == 21
+
+    def test_ksg_default_grid_sorts_the_matrix_once(self, tmp_path, matrix_sorts):
+        # the smallest subsample comes first and reads the widest prefix, here
+        # the whole order; every later subset and all points read within it
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "10", "--nd", "3", "--nt", "60", "--seed", "3",
+                 "-o", str(data)])
+        assert run_cli(["estimate", "--input", str(data), "--ksg", "--nk", "3",
+                        "--bias-correct", "-o", str(tmp_path / "e.json")]) == 0
+        assert list(matrix_sorts) == [(600, 600)]
+
+    @pytest.mark.parametrize("lambdas", [[], ["--lambdas", "0.4,0.6,0.8"]],
+                             ids=["default-grid", "no-full-fraction"])
+    def test_kernel_count_sorts_one_prefix_of_every_row(self, tmp_path, matrix_sorts,
+                                                        lambdas):
+        # every subset first reads 2 * n_h = 50 columns, the width of all
+        # points, whichever subset comes first: one prefix of every row, then
+        # only the few rows a count leaves short, and no full sort
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "10", "--nd", "3", "--nt", "60", "--seed", "3",
+                 "-o", str(data)])
+        assert run_cli(["estimate", "--input", str(data), "--nh", "25", "--bias-correct",
+                        *lambdas, "-o", str(tmp_path / "e.json")]) == 0
+        assert sum(rows for rows, width in matrix_sorts if width == 50) == 600
+        short = [rows for rows, width in matrix_sorts if width != 50]
+        assert all(rows < 600 // 8 for rows in short) and sum(short) < 600 // 8
+        assert all(width < 600 for _, width in matrix_sorts)
+
+    @pytest.mark.parametrize("flags, fewest", [
+        (["--ksg", "--nk", "3"], 4), (["--nh", "5"], 4), (["--h-frac", "0.02"], 5),
+    ], ids=["ksg", "nh", "h-frac"])
+    def test_default_grid_keeps_the_fractions_the_estimator_evaluates(
+        self, tmp_path, capsys, flags, fewest
+    ):
+        # at n_t = 20, lam = 0.1 leaves 2 trials: too few for n_k = 3, and a
+        # bandwidth of 5 * 2 // 20 = 0 points; h = 0.02 needs 5 of each of
+        # the 10 stimuli, and lam = 0.3 is the first to leave that many
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "10", "--nd", "3", "--nt", "20", "--sigma2", "0.3",
+                 "--seed", "4", "-o", str(data)])
+        capsys.readouterr()
+        assert run_cli(["estimate", "--input", str(data), *flags, "--bias-correct"]) == 0
+        sizes = [n for n, _ in json.loads(capsys.readouterr().out)["curve"]]
+        assert sizes == [n for n in range(2, 21, 2) if n >= fewest]
+        # fractions given explicitly are not dropped: the first too small one fails
+        assert run_cli(["estimate", "--input", str(data), *flags, "--bias-correct",
+                        "--lambdas", "0.1,0.5,1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fraction 0.1 leaves 2 trials per stimulus; ")
+        assert err.endswith(f" needs at least {fewest}\n")
+
+    def test_ksg_on_too_few_trials_fails_on_all_points(self, tmp_path, capsys):
+        # no fraction helps when all points are too few: the estimator says so
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{s},{x}\n" for s in (0, 1) for x in (0.5, 1.5, 2.5)))
+        assert run_cli(["estimate", "--input", str(data), "--ksg", "--nk", "3",
+                        "--bias-correct"]) == 1
+        assert capsys.readouterr().err == (
+            "error: n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3\n")
 
     def test_output_file_and_determinism(self, tmp_path):
         data = self._gen(tmp_path, sigma2="0.3")

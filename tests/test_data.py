@@ -179,6 +179,51 @@ class TestCsvVectors:
         with pytest.raises(DatasetParseError):
             load_dataset(f, FORMAT_CSV_VECTORS)
 
+    @pytest.mark.parametrize("text, error, message, line_no", [
+        ("0,1.0\n1,nan\n", DatasetParseError, "non-finite value 'nan'", 2),
+        ("0,1.0\n1,2.0\n1,-inf\n", DatasetParseError, "non-finite value '-inf'", 3),
+        ("0,1.0\n\n1,2.0\n", DatasetParseError, "blank line", 2),
+        ("0,1.0\n1,2.0\n\n", DatasetParseError, "blank line", 3),
+        ("0,1.0,2.0\n1,3.0\n", MixedVariantError, "row has 1 coordinates, expected 2", 2),
+        ("0,1.0\n1,2.0,3.0\n", MixedVariantError, "row has 2 coordinates, expected 1", 2),
+        ("0,1.0\nx,2.0\n", DatasetParseError, "bad stimulus label 'x'", 2),
+        ("0,1.0\n-1,2.0\n", DatasetParseError, "stimulus label -1 is negative", 2),
+        ("0,1.0\n1\n", DatasetParseError, "expected label,x0,...", 2),
+        ("0,1.0\n1,oops", DatasetParseError, "bad number 'oops'", 2),
+        # a bad line comes before an unbalanced design
+        ("0,1.0\n0,2.0\n1,inf\n", DatasetParseError, "non-finite value 'inf'", 3),
+    ], ids=["nan", "inf", "blank", "trailing-blank", "fewer-coordinates", "more-coordinates",
+            "bad-label", "negative-label", "no-coordinates", "no-final-newline",
+            "before-unbalanced"])
+    def test_bad_line_after_the_first(self, tmp_path, text, error, message, line_no):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(error) as err:
+            load_dataset(f, FORMAT_CSV_VECTORS)
+        assert type(err.value) is error
+        assert str(err.value) == f"{f}:{line_no}: {message}"
+        # a dimension mismatch names its line in the message only
+        assert getattr(err.value, "line_no", line_no) == line_no
+
+    def test_unbalanced_and_empty_files(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("0,1.0\n0,2.0\n1,3.0")
+        with pytest.raises(UnbalancedDesignError, match="^stimulus 1 has 1 trials, expected 2$"):
+            load_dataset(f, FORMAT_CSV_VECTORS)
+        for text in ("", "\n"):
+            f.write_text(text)
+            with pytest.raises(DatasetParseError) as err:
+                load_dataset(f, FORMAT_CSV_VECTORS)
+            assert err.value.line_no == 1 and str(err.value).endswith(
+                "empty file" if not text else "blank line")
+
+    def test_no_final_newline(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("0,0.5,1.5\n1,2.5,3.5")
+        ds = load_dataset(f, FORMAT_CSV_VECTORS)
+        assert ds.labels.tolist() == [0, 1]
+        assert ds.vectors.tolist() == [[0.5, 1.5], [2.5, 3.5]]
+
 
 class TestSpikeText:
     def test_load_line(self, tmp_path):
@@ -210,6 +255,54 @@ class TestSpikeText:
         f.write_text("0 2 0.5 0.1\n")
         with pytest.raises(DatasetParseError):
             load_dataset(f, FORMAT_SPIKE_TEXT)
+
+    @pytest.mark.parametrize("text, message, line_no", [
+        ("0 1 0.5\n1 2 0.1 nan\n", "non-finite value 'nan'", 2),
+        ("0 1 0.5\n1 0\n1 1 inf\n", "non-finite value 'inf'", 3),
+        ("0 1 0.5\n\n1 0\n", "blank line", 2),
+        ("0 1 0.5\n1 0\n  \n", "blank line", 3),
+        ("0 1 0.5\n1 2 0.1\n", "expected 2 spike times, found 1", 2),
+        ("0 1 0.5\n1 0 0.1\n", "expected 0 spike times, found 1", 2),
+        ("0 1 0.5\nx 0\n", "bad stimulus label 'x'", 2),
+        ("0 1 0.5\n1 x\n", "bad spike count 'x'", 2),
+        ("0 1 0.5\n1 -1\n", "negative spike count -1", 2),
+        ("0 1 0.5\n1\n", "expected label k t1 ... tk", 2),
+        ("0 1 0.5\n1 2 0.5 0.1\n", "spike times must be ascending", 2),
+        ("0 1 0.5\n1 2 0.5 0.1", "spike times must be ascending", 2),
+        # a bad line comes before an unbalanced design, and the first bad line
+        # before a later one
+        ("0 1 0.5\n0 0\n1 2 0.5 0.1\n", "spike times must be ascending", 3),
+        ("0 1 0.5\n1 2 0.9 0.1\n1 1 nan\n", "spike times must be ascending", 2),
+    ], ids=["nan", "inf", "blank", "trailing-blank", "fewer-times", "more-times",
+            "bad-label", "bad-count", "negative-count", "no-count", "descending",
+            "no-final-newline", "before-unbalanced", "first-bad-line"])
+    def test_bad_line_after_the_first(self, tmp_path, text, message, line_no):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(f, FORMAT_SPIKE_TEXT)
+        assert type(err.value) is DatasetParseError
+        assert str(err.value) == f"{f}:{line_no}: {message}"
+        assert err.value.line_no == line_no
+
+    def test_unbalanced_and_empty_files(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("0 1 0.5\n0 0\n1 1 0.2")
+        with pytest.raises(UnbalancedDesignError, match="^stimulus 1 has 1 trials, expected 2$"):
+            load_dataset(f, FORMAT_SPIKE_TEXT)
+        for text in ("", "\n"):
+            f.write_text(text)
+            with pytest.raises(DatasetParseError) as err:
+                load_dataset(f, FORMAT_SPIKE_TEXT)
+            assert err.value.line_no == 1 and str(err.value).endswith(
+                "empty file" if not text else "blank line")
+
+    def test_no_final_newline(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("0 2 0.25 0.25\n1 0\n0 0\n1 1 -0.5")
+        ds = load_dataset(f, FORMAT_SPIKE_TEXT)
+        assert ds.labels.tolist() == [0, 1, 0, 1]
+        assert [t.tolist() for t in ds.trains] == [[0.25, 0.25], [], [], [-0.5]]
 
 
 class TestSubsample:

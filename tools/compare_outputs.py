@@ -15,12 +15,18 @@ Victor-Purpura at q=0 and q=10 and van Rossum at tau=0.02.  Since records.csv
 and summary.json carry only the best histogram width, and no op runs the
 histogram estimator from the command line, the JSON that ``metricmi estimate
 --histogram --bin-width W --bias-correct`` prints for W = 0.5 and 3.0 on each
-vector-estimate input file at seeds 0-2 is compared as well.  Since every
+vector-estimate input file at seeds 0-2 is compared as well.  A bias-corrected
+estimate takes its raw value from the curve, where the whole dataset is a
+subset of its own when the fractions lack 1, and a kernel curve reads every
+subset's first prefix at the width of the whole dataset; so the JSON that
+``estimate --ksg --nk 3 --bias-correct --lambdas 0.4,0.6,0.8`` and ``estimate
+--nh 25 --bias-correct`` print on each vector-estimate input file at seeds 0-2
+is compared too.  Since every
 toy-benchmark op has 10 stimuli and 2000 Monte-Carlo samples, the four outputs
 of one unpruned ``metricmi benchmark`` at 40 stimuli and the default 10 000
 samples are compared too; at 2 dimensions and 5 datasets its true MIs show a
 last-bit change in how the log-mixture adds over stimuli.  Every output's
-SHA-256 is compared (349 outputs in all); the names that differ, or exist on
+SHA-256 is compared (367 outputs in all); the names that differ, or exist on
 one side only, are printed, and the exit status is 1 if there are any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
 differ, out of how many, and the largest relative difference among them.
@@ -45,6 +51,11 @@ SEEDS = {"vector-estimate": range(5), "spike-estimate": range(1), "toy-benchmark
 MATRIX_SEEDS = range(3)
 HISTOGRAM_SEEDS = range(3)
 HISTOGRAM_WIDTHS = ("0.5", "3.0")
+RAW_SEEDS = range(3)
+RAW_FLAGS = {
+    "ksg-no-full": ("--ksg", "--nk", "3", "--bias-correct", "--lambdas", "0.4,0.6,0.8"),
+    "nh25": ("--nh", "25", "--bias-correct"),
+}
 MATRICES = {
     "vp-q0.csv": ("--metric", "victor-purpura", "--q", "0"),
     "vp-q10.csv": ("--metric", "victor-purpura", "--q", "10"),
@@ -110,6 +121,11 @@ def digests(checkout: Path, workdir: Path) -> dict:
                 run(runner, f"histogram/seed{seed}", Op(f"{key}-w{width}", ((
                     "estimate", "--input", source, "--histogram", "--bin-width", width,
                     "--bias-correct"),)))
+    for seed in RAW_SEEDS:
+        for runner, key, source in sources("vector-estimate", seed, "raw"):
+            for name, flags in RAW_FLAGS.items():
+                run(runner, f"raw/seed{seed}", Op(f"{key}-{name}", (
+                    ("estimate", "--input", source, *flags),)))
     run(unchecked_runner(), "truth", Op("benchmark-ns40", (TRUTH,)))
     return out
 
