@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .data import LabeledDataset, derived_seed, subsample_indices
-from .estimators import KernelConfig, KsgConfig, kernel_bits_from_counts, ksg_mi
+from .estimators import KernelConfig, KsgConfig, kernel_bits_from_counts
+from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .metrics import DistanceMatrix
 
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -129,30 +129,17 @@ def subsample_curve(
     if not hasattr(config, "subset_bits"):
         raise TypeError(f"unsupported estimator config {type(config).__name__}")
     subsets = [s for _, group in draws for s in group]
-    bits = iter(_traced_subset_bits(d, dm, config, subsets))
+    if isinstance(config, KernelConfig):
+        # counts become bits here, under a name of this module that the
+        # benchmark in perfbench/ shifts in its self-test (ROADMAP item 5)
+        bits = iter([kernel_bits_from_counts(c, d.n_s, n_h)
+                     for c, n_h in config.subset_counts(d, dm, subsets)])
+    else:
+        bits = iter(config.subset_bits(d, dm, subsets))
     return [
         (n_t_sub, float(np.mean(np.asarray([next(bits) for _ in group]))))
         for n_t_sub, group in draws
     ]
-
-
-def _traced_subset_bits(d, dm, config, subsets) -> list[float]:
-    # config.subset_bits, except for two names of this module that the
-    # benchmark in perfbench/ replaces while it runs: the KSG whole-dataset
-    # point still comes from ksg_mi (each run of subsamples around it is one
-    # subset_bits call), and kernel counts still become bits here.  Both go
-    # once the benchmark stops naming them (ROADMAP item 5).
-    if isinstance(config, KsgConfig):
-        bits = []
-        for whole, run in groupby(subsets, lambda s: s.size == d.n_r):
-            run = list(run)
-            bits += ([ksg_mi(d, dm, config).bits for _ in run] if whole
-                     else config.subset_bits(d, dm, run))
-        return bits
-    if isinstance(config, KernelConfig):
-        return [kernel_bits_from_counts(c, d.n_s, n_h)
-                for c, n_h in config.subset_counts(d, dm, subsets)]
-    return config.subset_bits(d, dm, subsets)
 
 
 def _solve3(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -203,22 +190,20 @@ def quadratic_extrapolate(curve) -> BiasFit:
 
 
 def bias_corrected_mi(
-    d: LabeledDataset, dm: DistanceMatrix | None, config, draws, *, return_raw: bool = False
-) -> tuple:
+    d: LabeledDataset, dm: DistanceMatrix | None, config, draws
+) -> tuple[BiasFit, list[tuple[int, float]], float]:
     """Subsample curve on ``draws`` plus its quadratic fit; intercept is the corrected MI.
 
-    Returns (fit, curve), and with ``return_raw`` (fit, curve, raw): raw is
-    the estimate on all points, from the same ``subset_bits`` call as the
-    curve and bitwise equal to the estimator's own.  It is the curve's point
-    at n_t; draws without one get the whole dataset as a last subset, which
-    neither the curve nor the fit includes.
+    Returns (fit, curve, raw).  raw is the estimate on all points, from the
+    same ``subset_bits`` call as the curve and bitwise equal to the
+    estimator's own.  It is the curve's point at n_t; draws without one get
+    the whole dataset as a last subset, which neither the curve nor the fit
+    includes.
     """
     full = []
-    if return_raw and all(n_t_sub != d.n_t for n_t_sub, _ in draws):
+    if all(n_t_sub != d.n_t for n_t_sub, _ in draws):
         full = [(d.n_t, [np.arange(d.n_r, dtype=np.intp)])]
     curve = subsample_curve(d, dm, config, [*draws, *full])
-    fit = quadratic_extrapolate(curve[: len(draws)])
-    if not return_raw:
-        return fit, curve
     raw = next(bits for n_t_sub, bits in curve if n_t_sub == d.n_t)
-    return fit, curve[: len(draws)], raw
+    curve = curve[: len(draws)]
+    return quadratic_extrapolate(curve), curve, raw

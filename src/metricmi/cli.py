@@ -263,7 +263,7 @@ def _estimate(args, parser, dataset) -> dict:
     repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
     seed = 0 if args.seed is None else args.seed
     draws = subsample_draws(dataset, args.lambdas, repeats, seed, config)
-    fit, curve, raw = bias_corrected_mi(dataset, dm, config, draws, return_raw=True)
+    fit, curve, raw = bias_corrected_mi(dataset, dm, config, draws)
     estimate = config.tag(raw, dataset.n_r)
     return {"estimator": estimate.estimator, "config": estimate.config,
             "bits": estimate.bits, "curve": [[size, bits] for size, bits in curve],

@@ -87,17 +87,18 @@ class LabeledDataset:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise DatasetError("labels must be a nonempty 1-d integer array")
-        if labels.min() < 0:
+        values, counts = np.unique(labels, return_counts=True)
+        if values[0] < 0:
             raise DatasetError("stimulus labels must be nonnegative")
-        n_r = labels.size
-        n_s = int(labels.max()) + 1
-        counts = np.bincount(labels, minlength=n_s)
-        n_t = int(counts[0])
-        for s in range(n_s):
-            if counts[s] != n_t:
-                raise UnbalancedDesignError(s, int(counts[s]), n_t)
-        if n_s * n_t != n_r:
-            raise DatasetError("label bookkeeping is inconsistent")
+        n_r, n_s = labels.size, int(values[-1]) + 1
+        n_t = int(counts[0]) if values[0] == 0 else 0
+        # the first stimulus of 0..n_s-1 whose count is not stimulus 0's: a
+        # label, or, where stimulus 0 has trials, a gap of 0 trials
+        bad = np.flatnonzero((values != np.arange(values.size)) | (counts != n_t))
+        if bad.size:
+            i = int(bad[0])
+            found = (values[i], counts[i]) if values[i] == i or n_t == 0 else (i, 0)
+            raise UnbalancedDesignError(int(found[0]), int(found[1]), n_t)
 
         if kind == VECTOR:
             if vectors is None or trains is not None:

@@ -23,15 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bias import (
-    DEFAULT_LAMBDAS,
-    DEFAULT_REPEATS,
-    bias_corrected_mi,
-    subsample_draws,
-    usable_lambdas,
-)
+from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
+from .bias import subsample_draws, usable_lambdas
 from .data import LabeledDataset, derived_seed, format_float
-from .estimators import HistogramConfig, KernelConfig, histogram_mi, kernel_mi
+from .estimators import HistogramConfig, KernelConfig
+# unused here; perfbench's tracer wraps these names (ROADMAP item 5)
+from .estimators import histogram_mi, kernel_mi
 from .metrics import MetricSpec, distance_matrix
 
 _LN2 = math.log(2.0)
@@ -221,13 +218,6 @@ class BenchmarkResult:
     summary: dict = field(default_factory=dict)
 
 
-def _curve_value_at(curve, n_t: int):
-    for size, bits in curve:
-        if size == n_t:
-            return bits
-    return None
-
-
 def _candidate_spec(protocol: BenchmarkProtocol, seed: int, idx: int) -> ToySpec:
     """Generator parameters of candidate ``idx`` of a run with base ``seed``."""
     cand_seed = derived_seed(seed, idx, 0)
@@ -245,21 +235,13 @@ def _probe_candidate(protocol, mc_samples, seed, idx) -> tuple[int, float, float
 def _evaluate_candidate(protocol, widths, lambdas, repeats, seed, idx) -> dict:
     ds, _, _ = generate_toy(_candidate_spec(protocol, seed, idx))
     dm = distance_matrix(ds, MetricSpec.euclidean())
-    kcfg = KernelConfig(n_h=protocol.n_t)
     kdraws = subsample_draws(ds, lambdas, repeats, derived_seed(seed, idx, 2))
-    kfit, kcurve = bias_corrected_mi(ds, dm, kcfg, kdraws)
-    kernel_raw = _curve_value_at(kcurve, ds.n_t)
-    if kernel_raw is None:
-        kernel_raw = kernel_mi(ds, dm, kcfg).bits
+    kfit, _, kernel_raw = bias_corrected_mi(ds, dm, KernelConfig(n_h=protocol.n_t), kdraws)
     # every width is evaluated on the same subsamples, drawn once
     hist_draws = subsample_draws(ds, lambdas, repeats, derived_seed(seed, idx, 3))
     hist_corrected, hist_raw = [], []
     for width in widths:
-        hcfg = HistogramConfig(width=width)
-        hfit, hcurve = bias_corrected_mi(ds, None, hcfg, hist_draws)
-        raw = _curve_value_at(hcurve, ds.n_t)
-        if raw is None:
-            raw = histogram_mi(ds, hcfg).bits
+        hfit, _, raw = bias_corrected_mi(ds, None, HistogramConfig(width=width), hist_draws)
         hist_corrected.append(hfit.intercept_bits)
         hist_raw.append(raw)
     return {
@@ -275,7 +257,6 @@ def run_benchmark(
     seed: int = 0,
     *,
     widths=DEFAULT_WIDTHS,
-    lambdas=DEFAULT_LAMBDAS,
     repeats: int = DEFAULT_REPEATS,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     max_workers: int | None = None,
@@ -285,9 +266,11 @@ def run_benchmark(
     The kernel estimator uses bandwidth n_h = n_t and is always
     bias-corrected; the histogram baseline is bias-corrected the same way and
     swept over ``widths``, reporting the width that minimizes its mean
-    absolute error for this protocol.  With pruning enabled, candidate
-    datasets are drawn until each tenth of the normalized true-MI range
-    [0, 1] holds dataset_count/10 of them.  Probing gives up once 200x
+    absolute error for this protocol.  Both curves use the fractions of
+    ``DEFAULT_LAMBDAS`` that leave 2 trials per stimulus, 1 among them; fewer
+    than 3 distinct subsample sizes are an error.  With pruning enabled,
+    candidate datasets are drawn until each tenth of the normalized true-MI
+    range [0, 1] holds dataset_count/10 of them.  Probing gives up once 200x
     dataset_count consecutive candidates have all been rejected, and in any
     case after 1000x dataset_count attempts.  A bin that stays short that
     long is in practice out of the model's reach (normalized MI < 0.1 needs
@@ -312,7 +295,7 @@ def run_benchmark(
         raise ValueError("need at least one histogram width")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    lambdas = usable_lambdas(lambdas, protocol.n_t)
+    lambdas = usable_lambdas(DEFAULT_LAMBDAS, protocol.n_t)
     if len({math.floor(lam * protocol.n_t) for lam in lambdas}) < 3:
         raise ValueError("lambda grid leaves fewer than 3 usable subsample sizes")
 

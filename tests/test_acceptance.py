@@ -165,7 +165,7 @@ class TestCriterion3:
             labels = shuffle_rng.permutation(ds.labels)
             shuffled = LabeledDataset.from_vectors(ds.vectors, labels)
             draws = subsample_draws(shuffled, seed=k)
-            fit, _ = bias_corrected_mi(shuffled, dm, KernelConfig(n_h=shuffled.n_t), draws)
+            fit, _, _ = bias_corrected_mi(shuffled, dm, KernelConfig(n_h=shuffled.n_t), draws)
             intercepts.append(fit.intercept_bits)
         shuffle_mean = float(np.mean(intercepts))
         shuffle_ok = abs(shuffle_mean) <= 0.1

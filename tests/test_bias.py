@@ -207,10 +207,11 @@ class TestSubsampleCurve:
         estimator = {KernelConfig: kernel_mi, KsgConfig: ksg_mi}.get(type(config))
         direct = (estimator(ds, dm, config) if estimator else histogram_mi(ds, config)).bits
         draws = subsample_draws(ds, lambdas, 3, 7)
-        fit, curve, raw = bias_corrected_mi(ds, dm, config, draws, return_raw=True)
+        fit, curve, raw = bias_corrected_mi(ds, dm, config, draws)
         assert raw == direct
         # the whole dataset, when the fractions lack it, is in neither curve nor fit
-        assert (fit, curve) == bias_corrected_mi(ds, dm, config, draws)
+        assert curve == subsample_curve(ds, dm, config, draws)
+        assert fit == quadratic_extrapolate(curve)
         assert [n for n, _ in curve] == [math.floor(lam * 12) for lam in lambdas]
 
     def test_raw_value_sorts_one_prefix_whichever_subset_comes_first(self, matrix_sorts):
@@ -221,7 +222,7 @@ class TestSubsampleCurve:
         for lambdas in ((0.4, 0.6, 0.8), (0.1, 0.5, 0.9), (0.9, 0.5, 0.1)):
             dm = DistanceMatrix(dm.values)
             matrix_sorts.clear()
-            bias_corrected_mi(ds, dm, cfg, subsample_draws(ds, lambdas, 10), return_raw=True)
+            bias_corrected_mi(ds, dm, cfg, subsample_draws(ds, lambdas, 10))
             assert sum(rows for rows, width in matrix_sorts if width == 50) == ds.n_r
             assert sum(rows for rows, width in matrix_sorts if width != 50) < ds.n_r // 8
 

@@ -9,12 +9,14 @@ import pytest
 from metricmi import (
     BiasFit,
     KernelConfig,
+    KsgConfig,
     MetricSpec,
     distance_matrix,
     load_dataset,
     subsample_curve,
     subsample_draws,
 )
+from metricmi import estimators
 from metricmi.cli import main
 
 
@@ -210,6 +212,28 @@ class TestEstimate:
             assert sizes == [8, 12, 16]
         else:
             assert sizes[-1] == 21
+
+    @pytest.mark.parametrize("lambdas", [[], ["--lambdas", "0.4,0.6,0.8"]],
+                             ids=["default-grid", "no-full-fraction"])
+    def test_ksg_bias_correct_builds_one_neighbor_table(self, tmp_path, monkeypatch, lambdas):
+        # the raw value and every subsample come from one subset_bits call
+        calls = {"tables": 0, "subset_bits": 0}
+        real_init, real_bits = estimators.NeighborTable.__init__, KsgConfig.subset_bits
+
+        def init(self, *args):
+            calls["tables"] += 1
+            real_init(self, *args)
+
+        def subset_bits(self, *args):
+            calls["subset_bits"] += 1
+            return real_bits(self, *args)
+
+        monkeypatch.setattr(estimators.NeighborTable, "__init__", init)
+        monkeypatch.setattr(KsgConfig, "subset_bits", subset_bits)
+        data = self._gen(tmp_path, sigma2="0.1")
+        assert run_cli(["estimate", "--input", str(data), "--ksg", "--nk", "3",
+                        "--bias-correct", *lambdas, "-o", str(tmp_path / "e.json")]) == 0
+        assert calls == {"tables": 1, "subset_bits": 1}
 
     def test_ksg_default_grid_sorts_the_matrix_once(self, tmp_path, matrix_sorts):
         # the smallest subsample comes first and reads the widest prefix, here

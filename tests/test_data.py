@@ -1,5 +1,7 @@
 """Dataset model, file formats, and stratified subsampling."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,18 @@ class TestCsvVectors:
         assert str(err.value) == f"{f}:{line_no}: {message}"
         # a dimension mismatch names its line in the message only
         assert getattr(err.value, "line_no", line_no) == line_no
+
+    def test_large_label_is_rejected_at_once(self, tmp_path):
+        # the check counts the labels present, not every stimulus up to the
+        # largest label
+        f = tmp_path / "d.csv"
+        f.write_text("20000000,1.0\n20000000,2.0\n")
+        start = time.perf_counter()
+        with pytest.raises(UnbalancedDesignError,
+                           match="^stimulus 20000000 has 2 trials, expected 0$") as err:
+            load_dataset(f, FORMAT_CSV_VECTORS)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.stimulus == 20000000
 
     def test_unbalanced_and_empty_files(self, tmp_path):
         f = tmp_path / "d.csv"

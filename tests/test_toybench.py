@@ -10,7 +10,9 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from metricmi import (
+    DEFAULT_LAMBDAS,
     BenchmarkProtocol,
+    HistogramConfig,
     KernelConfig,
     MetricSpec,
     ToySpec,
@@ -18,11 +20,13 @@ from metricmi import (
     derived_seed,
     distance_matrix,
     generate_toy,
+    histogram_mi,
     kernel_mi,
     run_benchmark,
     true_mi,
 )
 from metricmi import toybench
+from metricmi.bias import usable_lambdas
 from metricmi.cli import main
 
 
@@ -341,6 +345,17 @@ class TestRunBenchmark:
         assert s["attempts"] == last + 1 + 200 * protocol.dataset_count < 10_000
         assert len(calls) == s["attempts"]
 
+    def test_raw_values_are_the_plain_estimates(self):
+        # each raw value is its curve's point at n_t: the estimator on all points
+        protocol = BenchmarkProtocol(n_s=4, n_d=2, n_t=12, dataset_count=10)
+        lambdas = usable_lambdas(DEFAULT_LAMBDAS, protocol.n_t)
+        out = toybench._evaluate_candidate(protocol, toybench.DEFAULT_WIDTHS, lambdas, 2, 5, 3)
+        ds, _, _ = generate_toy(toybench._candidate_spec(protocol, 5, 3))
+        dm = distance_matrix(ds, MetricSpec.euclidean())
+        assert out["kernel_raw_bits"] == kernel_mi(ds, dm, KernelConfig(n_h=12)).bits
+        assert out["hist_raw_bits"] == [histogram_mi(ds, HistogramConfig(width=w)).bits
+                                        for w in toybench.DEFAULT_WIDTHS]
+
     def test_prune_needs_divisible_count(self):
         with pytest.raises(ValueError):
             BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=7)
@@ -365,7 +380,12 @@ class TestRunBenchmark:
                      "10", "--threads", "1", "--mc-samples", "2000", *flags, "-o", str(tmp_path)])
         assert code == 1 and msg in capsys.readouterr().err
 
-    def test_lambda_grid_validation(self):
-        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=6, prune=False)
-        with pytest.raises(ValueError):
-            run_benchmark(protocol, lambdas=(0.9, 1.0), mc_samples=500)
+    def test_lambda_grid_validation(self, capsys, tmp_path):
+        # n_t = 3 leaves the default fractions 2 or 3 trials per stimulus
+        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=3, dataset_count=6, prune=False)
+        msg = "fewer than 3 usable subsample sizes"
+        with pytest.raises(ValueError, match=msg):
+            run_benchmark(protocol, mc_samples=500)
+        code = main(["benchmark", "--ns", "3", "--nd", "2", "--nt", "3", "--datasets", "6",
+                     "--no-prune", "--mc-samples", "500", "-o", str(tmp_path)])
+        assert code == 1 and msg in capsys.readouterr().err
