@@ -182,25 +182,6 @@ class LabeledDataset:
             raise MixedVariantError("dataset holds vectors, not spike trains")
         return self._trains
 
-    def take(self, indices) -> "LabeledDataset":
-        """Dataset restricted to the given point indices (order preserved)."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if self._vectors is not None:
-            return LabeledDataset(
-                VECTOR, self._labels[indices], vectors=self._vectors[indices]
-            )
-        trains = tuple(self._trains[i] for i in indices)
-        return LabeledDataset(SPIKE, self._labels[indices], trains=trains)
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        if self.kind != other.kind or not np.array_equal(self._labels, other._labels):
-            return False
-        if self.kind == VECTOR:
-            return np.array_equal(self._vectors, other._vectors)
-        return all(np.array_equal(a, b) for a, b in zip(self._trains, other._trains))
-
     def __repr__(self):
         return (
             f"LabeledDataset(kind={self.kind!r}, n_s={self.n_s}, "

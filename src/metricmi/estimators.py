@@ -213,8 +213,8 @@ class NeighborTable:
     up to n_r for the rows it leaves short (``DistanceMatrix.order_prefix``).
     An ascending subset's own order is that order filtered to its members,
     since filtering keeps the relative order of equal distances, and every
-    count is an integer: a count on a subset equals the count on its
-    submatrix sorted afresh, bit for bit.  A subset of None is every point.
+    count is an integer (``_count_to_kth`` of flat positions): a count on a
+    subset equals its submatrix's, sorted afresh, bit for bit; None is all points.
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
@@ -255,7 +255,7 @@ class NeighborTable:
         return counts, found
 
     def kernel_counts(self, n_h: int, subset=None, width=None) -> np.ndarray:
-        """c_i: same-stimulus members among each member's n_h nearest members.
+        """c_i: same-stimulus members up to each member's n_h-th nearest member.
 
         The point itself is one of them, unless n_h or more lower-index
         members tie with it at distance 0 and push it out, so that c_i can be
@@ -267,9 +267,8 @@ class NeighborTable:
 
         def count(points, cols, tags):
             tag = tags[cols]
-            run = np.cumsum(tag >= 0, axis=1, dtype=np.int32)
-            same = tag == labels[points, None]
-            return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
+            same = np.flatnonzero(tag == labels[points, None])
+            return _count_to_kth(np.flatnonzero(tag >= 0), same, n_h, tag.shape)
 
         return self._count(subset, n_h, width or self._columns(2 * n_h, subset), count)[0]
 
@@ -278,21 +277,36 @@ class NeighborTable:
 
         C_i counts the members other than self at or before the anchor, the
         n_k-th same-stimulus member other than self.  usable_i is below n_k
-        only where the subset holds fewer than n_k for point i, and there
-        C_i means nothing.
+        only where the subset holds fewer than n_k for point i; there C_i
+        counts up to the last of them (0 with none), which ``KsgConfig``
+        never reads, since it requires n_t > n_k.
         """
         labels = self._labels
 
         def count(points, cols, tags):
             tag = tags[cols]
             others = cols != points[:, None]
-            run = np.cumsum(others & (tag == labels[points, None]), axis=1, dtype=np.int32)
-            anchor = np.argmax(run >= n_k, axis=1)
+            usable = np.flatnonzero(others & (tag == labels[points, None]))
             others &= tag >= 0
-            others &= np.arange(cols.shape[1]) <= anchor[:, None]
-            return np.count_nonzero(others, axis=1), run[:, -1]
+            return _count_to_kth(usable, np.flatnonzero(others), n_k, tag.shape)
 
         return self._count(subset, n_k, self._columns(2 * n_k * self._n_s, subset), count)
+
+
+def _count_to_kth(first, second, k: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, found) per row of a (rows, width) array, from ascending flat positions.
+
+    found_r counts row r's ``first`` entries, counts_r its ``second`` entries up to its
+    k-th ``first`` entry (its last when fewer; 0 with none).  Three searchsorted calls.
+    """
+    rows, width = shape
+    starts = np.arange(0, rows * width + 1, width)
+    bounds = first.searchsorted(starts)
+    found = bounds[1:] - bounds[:-1]
+    stop = starts[:-1].copy()  # one past the k-th entry; the row's start where it has none
+    has = found > 0
+    stop[has] = first[np.minimum(bounds[:-1] + k, bounds[1:])[has] - 1] + 1
+    return second.searchsorted(stop) - second.searchsorted(starts[:-1]), found
 
 
 def kernel_bits_from_counts(c: np.ndarray, n_s: int, n_h: int) -> float:

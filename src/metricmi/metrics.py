@@ -173,8 +173,8 @@ def _repair_ties(order: np.ndarray, tie: np.ndarray) -> np.ndarray:
 def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     """``argsort(values[rows], kind="stable")[:, :width]``, 64 rows at a time.
 
-    Each row keeps its ``width`` first members by a partition, and
-    ``_argsort_rows`` orders them.
+    Each row keeps its ``width`` first members by a partition, read as flat
+    positions less the row's offset, and ``_argsort_rows`` orders them.
     """
     prefix = np.empty((len(rows), width), dtype=np.intp)
     for start in range(0, len(rows), 64):
@@ -186,7 +186,8 @@ def _sorted_prefix(values: np.ndarray, rows: np.ndarray, width: int) -> np.ndarr
         over = np.flatnonzero(excess)
         ties = block[over] == t[over]
         keep[over] &= ~ties | (np.cumsum(ties[:, ::-1], axis=1)[:, ::-1] > excess[over])
-        cols = np.nonzero(keep)[1].reshape(-1, width)
+        cols = np.flatnonzero(keep).reshape(-1, width)
+        cols -= block.shape[1] * np.arange(len(block))[:, None]
         first = _argsort_rows(np.take_along_axis(block, cols, axis=1))
         prefix[start : start + 64] = np.take_along_axis(cols, first, axis=1)
     return prefix

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from metricmi import metrics
+from metricmi import LabeledDataset, metrics
+from metricmi.data import VECTOR
 
 
 class Sorts(list):
@@ -37,3 +38,20 @@ def matrix_sorts(monkeypatch):
     monkeypatch.setattr(np, "argsort", counting)
     monkeypatch.setattr(metrics, "_repair_ties", repairing)
     return sorts
+
+
+def take(d, indices):
+    """The dataset ``d`` restricted to the given point indices, in their order."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if d.kind == VECTOR:
+        return LabeledDataset.from_vectors(d.vectors[indices], d.labels[indices])
+    return LabeledDataset.from_spike_trains([d.trains[i] for i in indices], d.labels[indices])
+
+
+def same_dataset(a, b):
+    """Whether two datasets hold the same kind, labels and responses, bit for bit."""
+    if a.kind != b.kind or not np.array_equal(a.labels, b.labels):
+        return False
+    if a.kind == VECTOR:
+        return np.array_equal(a.vectors, b.vectors)
+    return all(np.array_equal(x, y) for x, y in zip(a.trains, b.trains))

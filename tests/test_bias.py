@@ -28,6 +28,7 @@ from metricmi import (
 from metricmi import derived_seed, estimators
 from metricmi.estimators import bin_ids
 from metricmi.toybench import DEFAULT_WIDTHS
+from conftest import take
 
 
 def submatrix(dm, idx):
@@ -246,7 +247,7 @@ class TestSubsampleCurve:
                 direct = []
                 for ri in range(3):
                     idx = subsample_indices(ds, lam, derived_seed(trial, 0, ri))
-                    sub = ds.take(idx)
+                    sub = take(ds, idx)
                     sub_dm = submatrix(dm, idx)
                     n_h = (ds.n_t * sub.n_r) // ds.n_r
                     direct.append(kernel_mi(sub, sub_dm, KernelConfig(n_h=n_h)).bits)
@@ -264,7 +265,7 @@ class TestSubsampleCurve:
             else:
                 for ri in range(4):
                     idx = subsample_indices(ds, lam, derived_seed(9, 0, ri))
-                    direct.append(histogram_mi(ds.take(idx), cfg).bits)
+                    direct.append(histogram_mi(take(ds, idx), cfg).bits)
             assert curve[0][1] == float(np.mean(np.asarray(direct)))
 
     @pytest.mark.parametrize("cells", [1, 2**30], ids=["chunks-of-one", "one-chunk"])
@@ -340,7 +341,7 @@ class TestSubsampleCurve:
         curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, lambdas, 3, 4))
         for li, (lam, (_, bits)) in enumerate(zip(lambdas, curve)):
             direct = [ksg_mi(ds, dm, cfg).bits] if lam == 1.0 else [
-                ksg_mi(ds.take(idx), submatrix(dm, idx), cfg).bits
+                ksg_mi(take(ds, idx), submatrix(dm, idx), cfg).bits
                 for idx in (subsample_indices(ds, lam, derived_seed(4, li, ri))
                             for ri in range(3))
             ]
@@ -369,16 +370,16 @@ class TestSubsampleCurve:
         assert curve[0] == (9, kernel_mi(ds, dm, KernelConfig(n_h=9)).bits)
         lam_curve = subsample_curve(ds, dm, cfg, subsample_draws(ds, (2.0 / 3.0,), 2, 0))
         idx = subsample_indices(ds, 2.0 / 3.0, derived_seed(0, 0, 0))
-        sub = ds.take(idx)
+        sub = take(ds, idx)
         assert sub.n_t == 6
         direct = kernel_mi(sub, submatrix(dm, idx), KernelConfig(n_h=6)).bits
         idx2 = subsample_indices(ds, 2.0 / 3.0, derived_seed(0, 0, 1))
-        direct2 = kernel_mi(ds.take(idx2), submatrix(dm, idx2), KernelConfig(n_h=6)).bits
+        direct2 = kernel_mi(take(ds, idx2), submatrix(dm, idx2), KernelConfig(n_h=6)).bits
         assert lam_curve[0][1] == float(np.mean(np.asarray([direct, direct2])))
 
     def test_subsample_is_submultiset(self):
         ds, _ = toy(np.random.default_rng(9), n_s=4, n_t=10)
-        sub = ds.take(subsample_indices(ds, 0.5, 3))
+        sub = take(ds, subsample_indices(ds, 0.5, 3))
         assert sub.n_t == 5
         for s in range(4):
             assert np.count_nonzero(sub.labels == s) == 5

@@ -2,11 +2,12 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricmi import (
@@ -17,13 +18,16 @@ from metricmi import (
     LabeledDataset,
     MetricSpec,
     MixedVariantError,
+    ToySpec,
     digamma,
     distance_matrix,
+    generate_toy,
     histogram_mi,
     kernel_mi,
     ksg_mi,
+    subsample_indices,
 )
-from metricmi.estimators import NeighborTable, bin_ids
+from metricmi.estimators import NeighborTable, _count_to_kth, bin_ids
 
 mpmath.mp.dps = 30
 
@@ -408,20 +412,109 @@ def line_matrix(x):
     return DistanceMatrix(np.abs(x[:, None] - x[None, :]))
 
 
-def record_widths(monkeypatch):
-    """Prefix widths the table reads, one entry per pass over its rows."""
-    widths = []
+def record_blocks(monkeypatch):
+    """(rows, width) of each block of the order the table reads, one per pass over its rows."""
+    blocks = []
     original = NeighborTable._count
 
     def spy(self, subset, need, width, count):
         def recorded(points, cols, member):
-            widths.append(cols.shape[1])
+            blocks.append(cols.shape)
             return count(points, cols, member)
 
         return original(self, subset, need, width, recorded)
 
     monkeypatch.setattr(NeighborTable, "_count", spy)
-    return widths
+    return blocks
+
+
+def cumsum_kernel_counts(tag, label, n_h):
+    """Oracle: (c, found) of each row of a tag block from running member counts."""
+    run = np.cumsum(tag >= 0, axis=1, dtype=np.int32)
+    same = tag == label[:, None]
+    return np.count_nonzero(same & (run <= n_h), axis=1), run[:, -1]
+
+
+def cumsum_ksg_counts(tag, label, own, n_k):
+    """Oracle: (C, usable) of each row from running usable counts; C holds only where usable >= n_k."""
+    others = ~own
+    run = np.cumsum(others & (tag == label[:, None]), axis=1, dtype=np.int32)
+    anchor = np.argmax(run >= n_k, axis=1)
+    others &= tag >= 0
+    others &= np.arange(tag.shape[1]) <= anchor[:, None]
+    return np.count_nonzero(others, axis=1), run[:, -1]
+
+
+@st.composite
+def tag_blocks(draw):
+    """A (rows, width) block of tags, -1 off the subset; each row's label; where its point sits."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = st.lists(st.integers(-1, 2), min_size=rows * width, max_size=rows * width)
+    tag = np.array(draw(cells), dtype=np.int32).reshape(rows, width)
+    label = np.array(draw(st.lists(st.integers(0, 2), min_size=rows, max_size=rows)))
+    # a row holds its own point at most once, tagged with its label
+    own = np.zeros((rows, width), dtype=bool)
+    for r, col in enumerate(draw(st.lists(st.integers(-1, width - 1), min_size=rows,
+                                          max_size=rows))):
+        if col >= 0:
+            own[r, col], tag[r, col] = True, label[r]
+    return tag, label, own
+
+
+def block(tag, label, own_cols=()):
+    """A ``tag_blocks`` case written out: own_cols[r] is the column of row r's point, or -1."""
+    tag = np.array(tag, dtype=np.int32)
+    own = np.zeros(tag.shape, dtype=bool)
+    for r, col in enumerate(own_cols):
+        if col >= 0:
+            own[r, col] = True
+    return tag, np.array(label), own
+
+
+# rows with no member (the first one too), a single row of width 1 holding only
+# its own point, and k past the width
+EDGE_BLOCKS = [
+    (block([[-1, -1, -1], [0, -1, 1], [-1, -1, -1], [1, 1, 0]], [0, 0, 1, 1], [-1, 0, -1, 1]), 2),
+    (block([[0]], [0], [0]), 1),
+    (block([[0, 1, 0], [1, -1, 1]], [0, 1], [0, 2]), 10),
+]
+
+
+class TestCountToKth:
+    """``_count_to_kth`` on flat positions against running counts along each row."""
+
+    @given(tag_blocks(), st.integers(1, 10))
+    @example(*EDGE_BLOCKS[0])
+    @example(*EDGE_BLOCKS[1])
+    @example(*EDGE_BLOCKS[2])
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_counts_equal_running_counts(self, case, n_h):
+        tag, label, _ = case
+        members, same = np.flatnonzero(tag >= 0), np.flatnonzero(tag == label[:, None])
+        c, found = _count_to_kth(members, same, n_h, tag.shape)
+        want_c, want_found = cumsum_kernel_counts(tag, label, n_h)
+        assert np.array_equal(c, want_c) and np.array_equal(found, want_found)
+
+    @given(tag_blocks(), st.integers(1, 10))
+    @example(*EDGE_BLOCKS[0])
+    @example(*EDGE_BLOCKS[1])
+    @example(*EDGE_BLOCKS[2])
+    @settings(max_examples=300, deadline=None)
+    def test_ksg_counts_equal_running_counts(self, case, n_k):
+        tag, label, own = case
+        usable = ~own & (tag == label[:, None])
+        members = np.flatnonzero(~own & (tag >= 0))
+        counts, found = _count_to_kth(np.flatnonzero(usable), members, n_k, tag.shape)
+        want, want_found = cumsum_ksg_counts(tag, label, own, n_k)
+        assert np.array_equal(found, want_found)
+        full = found >= n_k
+        assert np.array_equal(counts[full], want[full])
+        # a row short of n_k usable neighbors counts the other members up to
+        # its last usable one, 0 with none; KsgConfig never reads such a row,
+        # since it requires n_t > n_k
+        for r in np.flatnonzero(~full):
+            short = cumsum_ksg_counts(tag[[r]], label[[r]], own[[r]], found[r])[0][0]
+            assert counts[r] == (short if found[r] else 0)
 
 
 @st.composite
@@ -465,27 +558,51 @@ class TestNeighborTable:
     def test_kernel_prefix_widens_for_members_far_down_the_row(self, monkeypatch):
         # points 0..59 on a line; point 0's nearest members sit at 50..59, past
         # the first prefix of ceil(2 * n_h * 60 / 12) = 30 columns
-        widths = record_widths(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         dm = line_matrix(np.arange(60))
         labels = np.arange(60) % 2
         subset = np.concatenate([[0, 1], np.arange(50, 60)])
         got = NeighborTable(dm, labels).kernel_counts(3, subset)
         sub = dm.values[np.ix_(subset, subset)]
         assert np.array_equal(got, fresh_kernel_counts(sub, labels[subset], 3))
-        assert widths == [30, 60]
+        assert [width for _, width in blocks] == [30, 60]
 
     def test_ksg_prefix_widens_for_same_stimulus_far_down_the_row(self, monkeypatch):
         # stimulus 0 at 0, 100, ..., 400 and stimulus 1 packed at 1..5: point
         # 0's nearest same-stimulus neighbor ranks sixth, past the first
         # prefix of 2 * n_k * n_s = 4 columns
-        widths = record_widths(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         x = [0, 100, 200, 300, 400, 1, 2, 3, 4, 5]
         ds = LabeledDataset.from_vectors(np.array(x, float)[:, None], [0] * 5 + [1] * 5)
         dm = distance_matrix(ds, MetricSpec.euclidean())
         got, _ = NeighborTable(dm, ds.labels).ksg_counts(1)
         want = [fresh_ksg_count(dm.values, ds.labels, k, 1) for k in range(10)]
         assert got.tolist() == want
-        assert got[0] == 6 and widths[:2] == [4, 8]
+        assert got[0] == 6 and [width for _, width in blocks[:2]] == [4, 8]
+
+    def test_counts_on_vp_q0_ties_widen_to_the_fresh_sort(self, monkeypatch):
+        # under Victor-Purpura at q=0 two trains are |n_a - n_b| apart, so every
+        # row ties; a first prefix of one column makes every count widen
+        rng = np.random.default_rng(40)
+        counts = rng.poisson(np.repeat([3.0, 5.0, 8.0], 12))
+        trains = [np.sort(rng.uniform(0.0, 1.0, k)) for k in counts]
+        ds = LabeledDataset.from_spike_trains(trains, np.repeat(np.arange(3), 12))
+        dm = distance_matrix(ds, MetricSpec.victor_purpura(0.0))
+        assert np.array_equal(dm.values, np.abs(counts[:, None] - counts[None, :]))
+        monkeypatch.setattr(NeighborTable, "_columns", lambda self, members, subset: 1)
+        blocks = record_blocks(monkeypatch)
+        table = NeighborTable(dm, ds.labels)
+        for subset in (np.arange(ds.n_r), subsample_indices(ds, 0.5, 1)):
+            sub, labels = dm.values[np.ix_(subset, subset)], ds.labels[subset]
+            for n_h in (1, 5, subset.size):
+                want = fresh_kernel_counts(sub, labels, n_h)
+                assert np.array_equal(table.kernel_counts(n_h, subset), want)
+            for n_k in (1, 3):
+                got, usable = table.ksg_counts(n_k, subset)
+                assert np.all(usable >= n_k)
+                assert got.tolist() == [fresh_ksg_count(sub, labels, k, n_k)
+                                        for k in range(subset.size)]
+        assert {1, 2, 4, ds.n_r} <= {width for _, width in blocks}
 
     def test_labels_must_match_the_matrix(self):
         # too few, too many and 2-d labels name both shapes, not a bad index
@@ -506,6 +623,37 @@ class TestNeighborTable:
         msg = "n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3"
         with pytest.raises(ValueError, match=f"^{msg}$"):
             ksg_mi(ds, dm, KsgConfig(n_k=3))
+
+
+@pytest.fixture(scope="module")
+def toy_2000():
+    """Toy data at n_s=10, n_t=200 (n_r=2000), its matrix's full order already kept."""
+    ds, _, _ = generate_toy(ToySpec(10, 3, 200, seed=5))
+    dm = distance_matrix(ds, MetricSpec.euclidean())
+    dm.order  # sorted once and kept with the matrix, so no count below sorts
+    return ds, dm
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1], ids=["all-points", "lam-0.1"])
+@pytest.mark.parametrize("count", ["kernel", "ksg"])
+def test_count_working_memory_is_bounded(toy_2000, monkeypatch, count, lam):
+    # README: past the order the matrix keeps, counting holds at most 32 bytes
+    # per cell of the largest (rows, K) block of the order it reads
+    ds, dm = toy_2000
+    subset = subsample_indices(ds, lam, 0)
+    table = NeighborTable(dm, ds.labels)
+    blocks = record_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if count == "kernel":
+            table.kernel_counts(200, subset)
+        else:
+            table.ksg_counts(3, subset)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * max(rows * width for rows, width in blocks)
 
 
 class TestSubsetChecks:

@@ -14,3 +14,6 @@ def test_star_import_resolves_every_export():
     for name in ("ResponsePoint", "distance", "euclidean_distance", "neighbor_order"):
         assert not hasattr(metricmi, name), name
     assert not hasattr(metricmi.LabeledDataset, "point")
+    # only the tests restrict or compare datasets (conftest.take, conftest.same_dataset)
+    assert not hasattr(metricmi.LabeledDataset, "take")
+    assert metricmi.LabeledDataset.__eq__ is object.__eq__
