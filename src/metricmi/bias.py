@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, derived_seed, subsample_indices
-from .estimators import KernelConfig, KsgConfig, kernel_bits_from_counts
+from .estimators import KernelConfig, kernel_bits_from_counts
 from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .metrics import DistanceMatrix
 
@@ -41,20 +41,6 @@ def usable_lambdas(lambdas, n_t: int, fewest: int = 2) -> tuple:
     return tuple(lam for lam in lambdas if math.floor(lam * n_t) >= fewest)
 
 
-def _fewest_trials(d: LabeledDataset, config) -> int:
-    """The fewest trials per stimulus on which ``config`` can be evaluated, at least 2.
-
-    KSG needs n_k + 1, and a kernel a bandwidth of at least one point once it
-    is scaled to the subsample.  Above n_t where not even all points will do.
-    """
-    if isinstance(config, KsgConfig):
-        return config.n_k + 1
-    if isinstance(config, KernelConfig):
-        return next((k for k in range(2, d.n_t + 1)
-                     if config.subset_bandwidth(d.n_r, d.n_s * k) >= 1), d.n_t + 1)
-    return 2
-
-
 def subsample_draws(
     d: LabeledDataset,
     lambdas=None,
@@ -66,8 +52,8 @@ def subsample_draws(
 
     Each fraction lam keeps floor(lam * n_t) trials per stimulus.  Given
     fractions are rejected below 2 trials, or below the fewest that the
-    estimator ``config``, if given, can evaluate: n_k + 1 for KSG, and a
-    kernel bandwidth of one point.  ``None`` takes those of
+    estimator ``config``, if given, can evaluate, as its
+    ``fewest_trials(n_s, n_t)`` states them.  ``None`` takes those of
     ``DEFAULT_LAMBDAS`` that leave enough, and the whole dataset alone where
     the config cannot evaluate fewer trials, so that it fails on all points
     with the estimator's own message.  For lam < 1 there are ``repeats``
@@ -79,7 +65,7 @@ def subsample_draws(
         raise ValueError("repeats must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    fewest = 2 if config is None else _fewest_trials(d, config)
+    fewest = 2 if config is None else max(2, config.fewest_trials(d.n_s, d.n_t))
     explicit = lambdas is not None
     if not explicit:
         # a config that cannot evaluate even all points gets them alone

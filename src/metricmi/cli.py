@@ -30,7 +30,8 @@ from .estimators import (
     kernel_mi,
     ksg_mi,
 )
-from .metrics import MetricSpec, distance_matrix, write_distance_csv
+from .metrics import (EUCLIDEAN, VAN_ROSSUM, VICTOR_PURPURA, MetricSpec, distance_matrix,
+                      write_distance_csv)
 from .toybench import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_WIDTHS,
@@ -44,7 +45,7 @@ from .toybench import (
 )
 
 _FORMATS = (FORMAT_CSV_VECTORS, FORMAT_SPIKE_TEXT)
-_METRICS = ("euclidean", "victor-purpura", "van-rossum")
+_METRICS = (EUCLIDEAN, VICTOR_PURPURA, VAN_ROSSUM)
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -144,8 +145,8 @@ def _check_flags(args, parser) -> None:
     # dropped; so is a flag missing where it is read.  Both are reported
     # before the input is read
     rules = [
-        ("--q", args.q, args.metric == "victor-purpura", "--metric victor-purpura"),
-        ("--tau", args.tau, args.metric == "van-rossum", "--metric van-rossum"),
+        ("--q", args.q, args.metric == VICTOR_PURPURA, f"--metric {VICTOR_PURPURA}"),
+        ("--tau", args.tau, args.metric == VAN_ROSSUM, f"--metric {VAN_ROSSUM}"),
     ]
     if args.command == "estimate":
         kernel = not (args.ksg or args.histogram)
@@ -171,15 +172,10 @@ def _check_flags(args, parser) -> None:
 
 
 def _metric_from_args(args, dataset_kind: str, parser) -> MetricSpec:
-    if args.metric is None:
-        if dataset_kind == VECTOR:
-            return MetricSpec.euclidean()
+    # euclidean by default for vectors; _check_flags passed --q and --tau only where read
+    if args.metric is None and dataset_kind != VECTOR:
         parser.error("spike-train input requires an explicit --metric")
-    if args.metric == "euclidean":
-        return MetricSpec.euclidean()
-    if args.metric == "victor-purpura":
-        return MetricSpec.victor_purpura(args.q)
-    return MetricSpec.van_rossum(args.tau)
+    return MetricSpec(args.metric or EUCLIDEAN, q=args.q, tau=args.tau)
 
 
 def _out_of_memory(n: int, with_order: bool) -> MemoryError:

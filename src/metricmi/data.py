@@ -49,8 +49,10 @@ class MixedVariantError(DatasetError):
     """Vector and spike-train responses (or differing dimensions) in one dataset."""
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _as_readonly(a, dtype=np.float64) -> np.ndarray:
+    # frozen in place where it owns its data; a view is copied first, or its base could write it
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a = a if a.flags.owndata else a.copy()
     a.setflags(write=False)
     return a
 
@@ -133,8 +135,7 @@ class LabeledDataset:
             self._vectors = None
             self._trains = tuple(_as_readonly(t) for t in checked)
 
-        labels = np.ascontiguousarray(labels)
-        labels.setflags(write=False)
+        labels = _as_readonly(labels, np.int64)
         positions = np.argsort(labels, kind="stable").reshape(n_s, n_t)
         positions.setflags(write=False)
         self.kind = kind

@@ -2,10 +2,11 @@
 
 Each estimator is a config class whose method ``subset_bits(d, dm, subsets)``
 gives the estimate on each of a list of subsets (index arrays) of a labeled
-dataset, and whose ``tag(bits, n_r)`` names the estimator and its resolved
-config beside an estimate on all points.  The first two read the dataset
-through its distance matrix, and only on ascending subsets with equally many
-points of each stimulus:
+dataset, whose ``fewest_trials(n_s, n_t)`` is the fewest trials per stimulus
+of a subsample it can evaluate, and whose ``tag(bits, n_r)`` names the
+estimator and its resolved config beside an estimate on all points.  The
+first two read the dataset through its distance matrix, and only on
+ascending subsets with equally many points of each stimulus:
 
 * ``KernelConfig`` - square-kernel density estimate with the bandwidth given as
   probability mass: the kernel around a point is the region holding its
@@ -69,6 +70,11 @@ class KernelConfig:
             return math.floor(self.h * size)
         return (self.n_h * size) // n_r
 
+    def fewest_trials(self, n_s: int, n_t: int) -> int:
+        """The fewest trials per stimulus with a bandwidth of one point; n_t + 1 if none."""
+        return next((k for k in range(1, n_t + 1)
+                     if self.subset_bandwidth(n_s * n_t, n_s * k) >= 1), n_t + 1)
+
     def _bandwidth(self, n_r: int, size: int) -> int:
         if self.n_h is not None and self.n_h > n_r:
             raise ValueError(f"n_h = {self.n_h} exceeds the {n_r} data points")
@@ -117,16 +123,21 @@ class KsgConfig:
         if self.n_k < 1:
             raise ValueError(f"n_k must be >= 1, got {self.n_k}")
 
+    def fewest_trials(self, n_s: int, n_t: int) -> int:
+        """n_k + 1: the fewest trials per stimulus that leave each point n_k usable neighbors."""
+        return self.n_k + 1
+
     def subset_bits(self, d: LabeledDataset, dm: DistanceMatrix, subsets) -> list[float]:
         """KSG estimate in bits on each subset, each balanced over the n_s stimuli."""
         _check_inputs(d, dm, "ksg")
         table = NeighborTable(dm, d.labels)
+        fewest = self.fewest_trials(d.n_s, d.n_t)
         bits = []
         for subset in subsets:
             n_t = _trials(d, subset)
-            if n_t <= self.n_k:
+            if n_t < fewest:
                 raise ValueError(
-                    f"n_k = {self.n_k} needs at least {self.n_k + 1} trials per stimulus, "
+                    f"n_k = {self.n_k} needs at least {fewest} trials per stimulus, "
                     f"dataset has n_t = {n_t}"
                 )
             # balanced with n_t > n_k, every point has n_k usable neighbors.
@@ -155,6 +166,10 @@ class HistogramConfig:
             raise ValueError(f"bin width must be finite and positive, got {self.width}")
         if not math.isfinite(self.origin):
             raise ValueError("bin origin must be finite")
+
+    def fewest_trials(self, n_s: int, n_t: int) -> int:
+        """1: the plug-in estimate is defined on any subset."""
+        return 1
 
     def subset_bits(self, d: LabeledDataset, dm, subsets) -> list[float]:
         """Plug-in estimate in bits on each subset; ``dm`` is not read."""
@@ -214,7 +229,7 @@ class NeighborTable:
     An ascending subset's own order is that order filtered to its members,
     since filtering keeps the relative order of equal distances, and every
     count is an integer (``_count_to_kth`` of flat positions): a count on a
-    subset equals its submatrix's, sorted afresh, bit for bit; None is all points.
+    subset equals its submatrix's, sorted afresh, bit for bit.
     """
 
     def __init__(self, dm: DistanceMatrix, labels: np.ndarray):
@@ -230,8 +245,7 @@ class NeighborTable:
 
     def _columns(self, members: int, subset) -> int:
         # columns of the whole order that hold about `members` of the subset
-        n = self._labels.size
-        return members if subset is None else -(-members * n // subset.size)
+        return -(-members * self._labels.size // subset.size)
 
     def _count(self, subset, need, width, count) -> tuple[np.ndarray, np.ndarray]:
         # count(points, cols, tags) -> (counts, found) on the order prefixes
@@ -239,7 +253,6 @@ class NeighborTable:
         # elsewhere; the first prefix is `width` columns, and a row is done
         # once it has found `need` or has been read in full
         n = self._labels.size
-        subset = np.arange(n) if subset is None else subset
         tags = np.full(n, -1, dtype=np.int32)
         tags[subset] = self._labels[subset]
         counts, found = np.empty((2, subset.size), dtype=np.int64)
@@ -254,14 +267,14 @@ class NeighborTable:
             width *= 2
         return counts, found
 
-    def kernel_counts(self, n_h: int, subset=None, width=None) -> np.ndarray:
+    def kernel_counts(self, n_h: int, subset, width: int) -> np.ndarray:
         """c_i: same-stimulus members up to each member's n_h-th nearest member.
 
         The point itself is one of them, unless n_h or more lower-index
         members tie with it at distance 0 and push it out, so that c_i can be
         0 (ROADMAP item 1); a subset of fewer than n_h members counts them
-        all.  The first prefix is ``width`` columns of the whole order, by
-        default those that hold about 2 * n_h members.
+        all.  The first prefix is ``width`` columns of the whole order:
+        ``KernelConfig`` passes the width of all points to every subset.
         """
         labels = self._labels
 
@@ -270,16 +283,17 @@ class NeighborTable:
             same = np.flatnonzero(tag == labels[points, None])
             return _count_to_kth(np.flatnonzero(tag >= 0), same, n_h, tag.shape)
 
-        return self._count(subset, n_h, width or self._columns(2 * n_h, subset), count)[0]
+        return self._count(subset, n_h, width, count)[0]
 
-    def ksg_counts(self, n_k: int, subset=None) -> tuple[np.ndarray, np.ndarray]:
+    def ksg_counts(self, n_k: int, subset) -> tuple[np.ndarray, np.ndarray]:
         """(C, usable): each member's KSG count and its usable neighbors found.
 
         C_i counts the members other than self at or before the anchor, the
         n_k-th same-stimulus member other than self.  usable_i is below n_k
         only where the subset holds fewer than n_k for point i; there C_i
         counts up to the last of them (0 with none), which ``KsgConfig``
-        never reads, since it requires n_t > n_k.
+        never reads, since it requires n_t > n_k.  The first prefix is the
+        columns of the whole order that hold about 2 * n_k * n_s members.
         """
         labels = self._labels
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import SPIKE, VECTOR, LabeledDataset, format_float
+from .data import SPIKE, VECTOR, LabeledDataset, _as_readonly, format_float
 
 EUCLIDEAN = "euclidean"
 VICTOR_PURPURA = "victor-purpura"
@@ -92,8 +92,7 @@ class DistanceMatrix:
             raise ValueError("self-distances must be exactly zero")
         if not np.array_equal(values, values.T):
             raise ValueError("distance matrix must be symmetric")
-        values.setflags(write=False)
-        self.values = values
+        self.values = _as_readonly(values)
         self._order = None
 
     @property

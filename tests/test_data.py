@@ -10,6 +10,7 @@ from metricmi import (
     FORMAT_SPIKE_TEXT,
     DatasetError,
     DatasetParseError,
+    DistanceMatrix,
     LabeledDataset,
     MixedVariantError,
     UnbalancedDesignError,
@@ -17,6 +18,7 @@ from metricmi import (
     save_dataset,
     subsample_indices,
 )
+from metricmi import data
 from conftest import same_dataset, take
 
 
@@ -117,6 +119,25 @@ class TestLabeledDataset:
             ds.vectors[0, 0] = 9.0
         with pytest.raises(ValueError):
             ds.labels[0] = 2
+
+    def test_views_are_copied_so_writes_to_their_base_do_not_reach(self):
+        # a caller's view stays a window onto writable memory; the object
+        # keeps a copy.  An array that owns its data is frozen in place
+        base = np.zeros((4, 2))
+        base[:2] = [[0.0, 1.0], [1.0, 0.0]]
+        dm = DistanceMatrix(base[:2])
+        coords = np.arange(12.0).reshape(6, 2)
+        lab = np.array([0, 0, 1, 1, 0, 1])
+        vec = LabeledDataset.from_vectors(coords[:4], lab[:4])
+        times = np.array([0.1, 0.2, 0.3, 0.4])
+        spk = LabeledDataset.from_spike_trains([times[:2], times[2:]], lab[1:3])
+        arrays = [dm.values, vec.vectors, vec.labels, vec.positions, *spk.trains, spk.labels]
+        before = [a.tobytes() for a in arrays]
+        base[0, 1], coords[:] = 5.0, -1.0
+        lab[:], times[:] = 1, 9.0
+        assert [a.tobytes() for a in arrays] == before
+        owned = np.zeros((2, 2))
+        assert DistanceMatrix(owned).values is owned and not owned.flags.writeable
 
     def test_spike_variant_accessors(self):
         ds = LabeledDataset.from_spike_trains(
@@ -318,6 +339,68 @@ class TestSpikeText:
         ds = load_dataset(f, FORMAT_SPIKE_TEXT)
         assert ds.labels.tolist() == [0, 1, 0, 1]
         assert [t.tolist() for t in ds.trains] == [[0.25, 0.25], [], [], [-0.5]]
+
+
+# small valid files, and the edits of their tokens and lines that mutate them
+VALID_FILES = {
+    FORMAT_CSV_VECTORS: ("0,0.5,1.25\n0,2,-3\n1,1e-3,4\n1,0,0\n", ","),
+    FORMAT_SPIKE_TEXT: ("0 2 0.1 0.5\n0 0\n1 1 0.25\n1 3 0.1 0.2 0.3\n", " "),
+}
+TOKEN_EDITS = ("x", "nan", "inf", "-1", "1e400", "drop", "add")
+LINE_EDITS = ("blank", "trailing blank", "crlf")
+
+
+def mutant(text, sep, rng):
+    """``text`` after one or two random edits, and without its final newline one time in five."""
+    lines = text.split("\n")[:-1]
+    for _ in range(int(rng.integers(1, 3))):
+        edit = str(rng.choice(TOKEN_EDITS + LINE_EDITS))
+        i = int(rng.integers(len(lines)))
+        tokens = lines[i].split(sep)
+        j = int(rng.integers(len(tokens)))
+        if edit == "drop":
+            del tokens[j]
+        elif edit == "add":
+            tokens.insert(j, str(rng.choice(["0.75", "2", "0"])))
+        elif edit in TOKEN_EDITS:
+            tokens[j] = edit
+        lines[i] = sep.join(tokens)
+        if edit == "blank":
+            lines.insert(i, "")
+        elif edit == "trailing blank":
+            lines.append("")
+        elif edit == "crlf":
+            lines[i] += "\r"
+    return "\n".join(lines) + ("" if rng.random() < 0.2 else "\n")
+
+
+def outcome(load):
+    """The dataset ``load()`` returns, or the type and message of what it raises."""
+    try:
+        return load()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fmt, parse", [(FORMAT_CSV_VECTORS, data._parse_csv_lines),
+                                        (FORMAT_SPIKE_TEXT, data._parse_spike_lines)])
+def test_one_pass_load_agrees_with_the_line_parser(tmp_path, fmt, parse):
+    # load_dataset parses in one pass and falls back to the line parser on any
+    # failure; on mutated files the two give the same dataset or the same error
+    text, sep = VALID_FILES[fmt]
+    rng = np.random.default_rng(24)
+    path = tmp_path / "mutant"
+    loaded = 0
+    for _ in range(300):
+        path.write_bytes(mutant(text, sep, rng).encode("ascii"))
+        got = outcome(lambda: load_dataset(path, fmt))
+        want = outcome(lambda: parse(path, data._read_lines(path)))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, LabeledDataset) and same_dataset(got, want)
+            loaded += 1
+    assert 0 < loaded < 300  # both outcomes occur
 
 
 class TestSubsample:

@@ -79,13 +79,13 @@ class TestDigamma:
 
 
 def kernel_counts(dm, labels, n_h):
-    """c_i of every point, from the neighbor table of the whole matrix."""
-    return NeighborTable(dm, labels).kernel_counts(n_h).tolist()
+    """c_i of every point, from the neighbor table of the whole matrix at the width 2 * n_h."""
+    return NeighborTable(dm, labels).kernel_counts(n_h, np.arange(dm.n_r), 2 * n_h).tolist()
 
 
 def ksg_counts(dm, labels, n_k):
     """C_i of every point, from the neighbor table of the whole matrix."""
-    return NeighborTable(dm, labels).ksg_counts(n_k)[0].tolist()
+    return NeighborTable(dm, labels).ksg_counts(n_k, np.arange(dm.n_r))[0].tolist()
 
 
 class TestNeighborCountC:
@@ -208,7 +208,7 @@ class TestNeighborCountBig:
     def test_insufficient_neighbors(self):
         # n_t = 3 leaves each point 2 usable neighbors, short of n_k = 3
         ds, dm = random_dataset(np.random.default_rng(12), n_s=2, n_t=3)
-        _, usable = NeighborTable(dm, ds.labels).ksg_counts(3)
+        _, usable = NeighborTable(dm, ds.labels).ksg_counts(3, np.arange(ds.n_r))
         assert usable.tolist() == [2] * ds.n_r
 
     def test_at_least_n_k(self):
@@ -536,9 +536,9 @@ class TestNeighborTable:
         table = NeighborTable(dm, labels)
         sub = dm.values[np.ix_(subset, subset)]
         want = fresh_kernel_counts(sub, labels[subset], n_h)
-        assert np.array_equal(table.kernel_counts(n_h, subset), want)
+        assert np.array_equal(table.kernel_counts(n_h, subset, 2 * n_h), want)
         full = fresh_kernel_counts(dm.values, labels, n_h)
-        assert np.array_equal(table.kernel_counts(n_h), full)
+        assert np.array_equal(table.kernel_counts(n_h, np.arange(dm.n_r), 2 * n_h), full)
 
     @given(tied_tables(), st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
@@ -557,12 +557,13 @@ class TestNeighborTable:
 
     def test_kernel_prefix_widens_for_members_far_down_the_row(self, monkeypatch):
         # points 0..59 on a line; point 0's nearest members sit at 50..59, past
-        # the first prefix of ceil(2 * n_h * 60 / 12) = 30 columns
+        # the first prefix of 30 columns: the width 2 * n_h of n_h = 15 on all
+        # 60 points, whose bandwidth on these 12 is 3
         blocks = record_blocks(monkeypatch)
         dm = line_matrix(np.arange(60))
         labels = np.arange(60) % 2
         subset = np.concatenate([[0, 1], np.arange(50, 60)])
-        got = NeighborTable(dm, labels).kernel_counts(3, subset)
+        got = NeighborTable(dm, labels).kernel_counts(3, subset, 30)
         sub = dm.values[np.ix_(subset, subset)]
         assert np.array_equal(got, fresh_kernel_counts(sub, labels[subset], 3))
         assert [width for _, width in blocks] == [30, 60]
@@ -575,14 +576,15 @@ class TestNeighborTable:
         x = [0, 100, 200, 300, 400, 1, 2, 3, 4, 5]
         ds = LabeledDataset.from_vectors(np.array(x, float)[:, None], [0] * 5 + [1] * 5)
         dm = distance_matrix(ds, MetricSpec.euclidean())
-        got, _ = NeighborTable(dm, ds.labels).ksg_counts(1)
+        got, _ = NeighborTable(dm, ds.labels).ksg_counts(1, np.arange(10))
         want = [fresh_ksg_count(dm.values, ds.labels, k, 1) for k in range(10)]
         assert got.tolist() == want
         assert got[0] == 6 and [width for _, width in blocks[:2]] == [4, 8]
 
     def test_counts_on_vp_q0_ties_widen_to_the_fresh_sort(self, monkeypatch):
         # under Victor-Purpura at q=0 two trains are |n_a - n_b| apart, so every
-        # row ties; a first prefix of one column makes every count widen
+        # row ties; a first prefix of one column, the kernel's width given and
+        # KSG's from _columns, makes every count widen
         rng = np.random.default_rng(40)
         counts = rng.poisson(np.repeat([3.0, 5.0, 8.0], 12))
         trains = [np.sort(rng.uniform(0.0, 1.0, k)) for k in counts]
@@ -596,7 +598,7 @@ class TestNeighborTable:
             sub, labels = dm.values[np.ix_(subset, subset)], ds.labels[subset]
             for n_h in (1, 5, subset.size):
                 want = fresh_kernel_counts(sub, labels, n_h)
-                assert np.array_equal(table.kernel_counts(n_h, subset), want)
+                assert np.array_equal(table.kernel_counts(n_h, subset, 1), want)
             for n_k in (1, 3):
                 got, usable = table.ksg_counts(n_k, subset)
                 assert np.all(usable >= n_k)
@@ -647,7 +649,7 @@ def test_count_working_memory_is_bounded(toy_2000, monkeypatch, count, lam):
     try:
         base = tracemalloc.get_traced_memory()[0]
         if count == "kernel":
-            table.kernel_counts(200, subset)
+            table.kernel_counts(200, subset, 400)
         else:
             table.ksg_counts(3, subset)
         peak = tracemalloc.get_traced_memory()[1] - base
@@ -682,3 +684,28 @@ class TestSubsetChecks:
         ds, _, subsets = self._subsets()
         bits = HistogramConfig(width=0.5).subset_bits(ds, None, list(subsets.values()))
         assert all(math.isfinite(b) for b in bits)
+
+
+class TestFewestTrials:
+    """``fewest_trials`` is the estimator's own rule: the default λ grid keeps no size it rejects."""
+
+    @pytest.mark.parametrize("config", [
+        *[KsgConfig(n_k=n_k) for n_k in (1, 2, 3, 4)],
+        *[KernelConfig(n_h=n_h) for n_h in (1, 2, 5, 12, 36)],
+        *[KernelConfig(h=h) for h in (0.01, 0.05, 0.1, 0.34, 1.0)],
+        HistogramConfig(width=0.5),
+    ], ids=repr)
+    def test_smallest_stratified_subsample_the_estimator_accepts(self, config):
+        # n_s = 3, n_t = 12: the kernel counts and fractions need 1 to 12
+        # trials per stimulus, h = 0.01 more than there are (13)
+        ds, dm = random_dataset(np.random.default_rng(32), n_s=3, n_t=12)
+        accepted = []
+        for k in range(1, ds.n_t + 1):
+            try:
+                config.subset_bits(ds, dm, [np.sort(ds.positions[:, :k].ravel())])
+            except ValueError:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        fewest = config.fewest_trials(ds.n_s, ds.n_t)
+        assert accepted == [k >= fewest for k in range(1, ds.n_t + 1)]

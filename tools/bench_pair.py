@@ -13,8 +13,10 @@ quartiles of each end-to-end metric, the op counts (``peak_rss_mb`` is a
 process maximum after a fixed-time loop, so it grows with the number of ops
 a run fits), in how many pairs the change was better, every raw run, and each
 side's ``src_lines``, the line count of its ``src/metricmi/*.py`` (as ``wc -l``).
-After the pairs, ``perfbench/run.py --trace 1`` runs once per side and workload
-at seed 10, and the file holds the per-layer metrics it prints (per traced op).
+After the pairs, ``perfbench/run.py --trace 1`` runs in three more alternating
+pairs per workload, at seeds 10-12, so that one slow spell of the machine does
+not decide a layer: the file holds each side's median of every per-layer metric
+it prints (per traced op), and every traced run.
 
 The exit status is 1 if any run, paired or traced, read ``"correct": false`` or
 had failed ops (the file is still written, and each such run is named on
@@ -32,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(10, 20))
-TRACE_SEED = SEEDS[0]
+TRACE_SEEDS = SEEDS[:3]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -92,7 +94,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def write_summary(out: Path, runs: list[dict], traced: dict, spec: dict,
+def per_layer(traced: list[dict]) -> dict:
+    """Per side: the median of each per-layer metric over its traced runs, and their op counts."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in traced if r["side"] == side]
+        out[side] = {
+            "metrics": {name: statistics.median(r["metrics"][name] for r in mine)
+                        for name in mine[0]["metrics"]},
+            "attempted": sum(r["attempted"] for r in mine),
+            "failed": sum(r["failed"] for r in mine),
+            "correct": all(r["correct"] for r in mine),
+        }
+    return out
+
+
+def write_summary(out: Path, runs: list[dict], traced: list[dict], spec: dict,
                   workloads: list[str], sides: dict) -> None:
     doc = {
         "command": f"python3 tools/bench_pair.py --parent <parent checkout> --out {out.name}",
@@ -104,9 +121,11 @@ def write_summary(out: Path, runs: list[dict], traced: dict, spec: dict,
         "quartiles": "statistics.quantiles(n=4), exclusive method",
         "workloads": {w: summarize([r for r in runs if r["workload"] == w],
                                    spec["end_to_end"]) for w in workloads},
-        "per_layer": {"seed": TRACE_SEED,
+        "per_layer": {"seeds": TRACE_SEEDS, "median": "of the traced runs of each side",
                       "units": {m["name"]: m["unit"] for m in spec["per_layer"]},
-                      "workloads": traced},
+                      "workloads": {w: per_layer([r for r in traced if r["workload"] == w])
+                                    for w in workloads},
+                      "runs": traced},
         "runs": runs,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
@@ -122,30 +141,26 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
-    runs = []
-    for workload in workloads:
-        for k, seed in enumerate(SEEDS):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for position, side in enumerate(order):
-                result = run_once(sides[side], workload, seed, spec["run_seconds"])
-                runs.append({"workload": workload, "seed": seed, "side": side,
-                             "ran": position, **result})
-                value = result["metrics"]["op_mean_ref"]
-                print(f"{workload} seed {seed} {side}: op_mean_ref {value:.3f}, "
-                      f"{result['attempted']} ops, {result['failed']} failed", file=sys.stderr)
+    def pairs(seeds: list[int], trace: bool) -> list[dict]:
+        runs = []
+        for workload in workloads:
+            for k, seed in enumerate(seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for position, side in enumerate(order):
+                    result = run_once(sides[side], workload, seed, spec["run_seconds"], trace)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "ran": position, **result})
+                    value = result["metrics"].get("op_mean_ref")
+                    shown = f"op_mean_ref {value:.3f}" if value is not None else "traced"
+                    print(f"{workload} seed {seed} {side}: {shown}, {result['attempted']} ops, "
+                          f"{result['failed']} failed", file=sys.stderr)
+        return runs
 
-    traced = {}
-    for workload in workloads:
-        for side in ("parent", "change"):
-            run = run_once(sides[side], workload, TRACE_SEED, spec["run_seconds"], trace=True)
-            traced.setdefault(workload, {})[side] = run
-            print(f"{workload} seed {TRACE_SEED} {side}, traced: {run['attempted']} ops, "
-                  f"{run['failed']} failed", file=sys.stderr)
-
+    runs = pairs(SEEDS, trace=False)
+    traced = pairs(TRACE_SEEDS, trace=True)
     write_summary(args.out, runs, traced, spec, workloads, sides)
     checked = [(f"{r['workload']} seed {r['seed']} {r['side']}", r) for r in runs] + [
-        (f"{w} seed {TRACE_SEED} {side}, traced", run)
-        for w, by_side in traced.items() for side, run in by_side.items()]
+        (f"{r['workload']} seed {r['seed']} {r['side']}, traced", r) for r in traced]
     bad = [(name, r) for name, r in checked if r["failed"] or not r["correct"]]
     for name, r in bad:
         print(f"error: {name}: {r['failed']} failed ops, correct {str(r['correct']).lower()}",
