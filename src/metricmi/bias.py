@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, derived_seed, subsample_indices
+from .data import LabeledDataset, derived_seed, subsample_batch
+from .data import subsample_indices  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .estimators import KernelConfig, kernel_bits_from_counts
 from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .metrics import DistanceMatrix
@@ -92,10 +93,8 @@ def subsample_draws(
         if n_t_sub == d.n_t:
             subsets = [np.arange(d.n_r, dtype=np.intp)]
         else:
-            subsets = [
-                subsample_indices(d, lam, derived_seed(seed, li, ri))
-                for ri in range(repeats)
-            ]
+            seeds = [derived_seed(seed, li, ri) for ri in range(repeats)]
+            subsets = subsample_batch(d, lam, seeds)
         draws.append((n_t_sub, subsets))
     return draws
 

@@ -355,14 +355,22 @@ def derived_seed(*parts: int) -> int:
 def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
     """Point indices of a stratified subsample: floor(lam * n_t) trials per stimulus.
 
-    Selection is uniform without replacement within each stimulus, deterministic
-    for a fixed seed, and returned in ascending order so the original point
-    order (and hence all tie-breaking) is preserved.  ``lam == 1`` selects
-    everything without consuming randomness.
+    Selection is uniform without replacement within each stimulus: the picks
+    of ``default_rng(seed).choice(row, k, replace=False)`` from each row of
+    ``d.positions`` in turn, returned in ascending order so the original
+    point order (and hence all tie-breaking) is preserved.  ``lam == 1``
+    selects everything without consuming randomness.  The draw of
+    ``subsample_batch`` for one seed.
     """
+    return subsample_batch(d, lam, [seed])[0]
+
+
+def subsample_batch(d: LabeledDataset, lam: float, seeds) -> list[np.ndarray]:
+    """``[subsample_indices(d, lam, seed) for seed in seeds]``, drawn in one batch."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"subsample fraction must be in (0, 1], got {lam}")
-    if seed < 0:
+    seeds = list(seeds)
+    if any(seed < 0 for seed in seeds):
         raise ValueError("seed must be a nonnegative integer")
     k = math.floor(lam * d.n_t)
     if k < 1:
@@ -370,7 +378,44 @@ def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
             f"fraction {lam} leaves no trials (floor({lam} * {d.n_t}) = 0)"
         )
     if k == d.n_t:
-        return np.arange(d.n_r, dtype=np.intp)
-    rng = np.random.default_rng(seed)
+        return [np.arange(d.n_r, dtype=np.intp) for _ in seeds]
+    return _choice_batch(d, k, [np.random.PCG64(seed) for seed in seeds])
+
+
+def _choice_batch(d: LabeledDataset, k: int, bitgens) -> list[np.ndarray]:
+    """Per fresh PCG64, the sorted picks of ``Generator(bitgen).choice(row, k, replace=False)``.
+
+    ``choice`` runs Floyd's algorithm: pick j = n_t - k ... n_t - 1 takes
+    (u * (j + 1)) >> 32 of the next 32-bit value u (Lemire's bounded integer),
+    or j if that is chosen already; then it shuffles the picks with k - 1 more
+    values, consumed here but moot for sorted indices.  ``choice`` itself
+    draws for a seed with a value Lemire's method rejects, and past numpy's
+    tail-shuffle cutoff.
+    """
+    n_s, n_t = d.positions.shape
+    if not bitgens or (n_t > 10000 and k > n_t // 50):
+        return [_choice_loop(d, k, bitgen) for bitgen in bitgens]
+    bounds = np.r_[n_t - k + 1 : n_t + 1, k:1:-1].astype(np.uint64)  # Floyd's j + 1, shuffle's
+    words = -(-n_s * bounds.size // 2)
+    raw = np.array([bitgen.random_raw(words) for bitgen in bitgens], dtype="<u8")
+    u = raw.view("<u4")[:, : n_s * bounds.size].reshape(-1, bounds.size)  # low half first
+    m = u.astype(np.uint64) * bounds
+    rejected = ((m & 0xFFFFFFFF) < (1 << 32) % bounds).reshape(len(bitgens), -1).any(axis=1)
+    # pick t of every (seed, stimulus) row at once, on flat positions in a table of rows
+    base = np.arange(m.shape[0]) * n_t
+    picks = ((m[:, :k] >> 32).astype(np.intp) + base[:, None]).T.copy()
+    chosen = np.zeros(base.size * n_t, dtype=bool)
+    for at, j in zip(picks, base + np.arange(n_t - k, n_t)[:, None]):
+        chosen[np.where(chosen[at], j, at)] = True
+    mask = np.zeros((len(bitgens), d.n_r), dtype=bool)
+    mask[:, d.positions] = chosen.reshape(len(bitgens), n_s, n_t)
+    draws = list(np.flatnonzero(mask).reshape(len(bitgens), -1) % d.n_r)
+    for r in np.flatnonzero(rejected):
+        draws[r] = _choice_loop(d, k, bitgens[r].advance(-words))  # rewound to fresh
+    return draws
+
+
+def _choice_loop(d: LabeledDataset, k: int, bitgen) -> np.ndarray:
+    rng = np.random.Generator(bitgen)
     picks = [rng.choice(row, size=k, replace=False) for row in d.positions]
     return np.sort(np.concatenate(picks)).astype(np.intp)

@@ -72,6 +72,8 @@ class KernelConfig:
 
     def fewest_trials(self, n_s: int, n_t: int) -> int:
         """The fewest trials per stimulus with a bandwidth of one point; n_t + 1 if none."""
+        if self.n_h is not None and self.n_h > n_s * n_t:  # more than all the points
+            return n_t + 1
         return next((k for k in range(1, n_t + 1)
                      if self.subset_bandwidth(n_s * n_t, n_s * k) >= 1), n_t + 1)
 

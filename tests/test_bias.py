@@ -198,6 +198,14 @@ class TestSubsampleCurve:
         with pytest.raises(ValueError, match=f"^{msg}$"):
             subsample_curve(ds, dm, KsgConfig(n_k=3), draws)
 
+    def test_default_grid_for_a_kernel_wider_than_the_data_is_all_points(self):
+        # n_h = 37 on 36 points: no subsample is drawn before the kernel fails
+        ds, dm = toy(np.random.default_rng(5), n_s=3, n_t=12)
+        draws = subsample_draws(ds, None, 2, 0, KernelConfig(n_h=37))
+        assert [n for n, _ in draws] == [12]
+        with pytest.raises(ValueError, match="^n_h = 37 exceeds the 36 data points$"):
+            subsample_curve(ds, dm, KernelConfig(n_h=37), draws)
+
     @pytest.mark.parametrize("lambdas", [(0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75),
                                          (1.0, 0.5, 0.25)], ids=["full", "no-full", "descending"])
     @pytest.mark.parametrize("config", [KernelConfig(n_h=12), KernelConfig(h=0.15),

@@ -294,6 +294,13 @@ class TestEstimate:
         assert capsys.readouterr().err == (
             "error: n_k = 3 needs at least 4 trials per stimulus, dataset has n_t = 3\n")
 
+    def test_kernel_wider_than_the_data_fails_on_all_points(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{s},{x}\n" for s in (0, 1, 2) for x in range(12)))
+        assert run_cli(["estimate", "--input", str(data), "--kernel", "--nh", "37",
+                        "--bias-correct"]) == 1
+        assert capsys.readouterr().err == "error: n_h = 37 exceeds the 36 data points\n"
+
     def test_output_file_and_determinism(self, tmp_path):
         data = self._gen(tmp_path, sigma2="0.3")
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -691,13 +691,14 @@ class TestFewestTrials:
 
     @pytest.mark.parametrize("config", [
         *[KsgConfig(n_k=n_k) for n_k in (1, 2, 3, 4)],
-        *[KernelConfig(n_h=n_h) for n_h in (1, 2, 5, 12, 36)],
+        *[KernelConfig(n_h=n_h) for n_h in (1, 2, 5, 12, 36, 37, 100)],
         *[KernelConfig(h=h) for h in (0.01, 0.05, 0.1, 0.34, 1.0)],
         HistogramConfig(width=0.5),
     ], ids=repr)
     def test_smallest_stratified_subsample_the_estimator_accepts(self, config):
         # n_s = 3, n_t = 12: the kernel counts and fractions need 1 to 12
-        # trials per stimulus, h = 0.01 more than there are (13)
+        # trials per stimulus; h = 0.01, and n_h = 37 or 100 on the 36 points,
+        # more than there are (13)
         ds, dm = random_dataset(np.random.default_rng(32), n_s=3, n_t=12)
         accepted = []
         for k in range(1, ds.n_t + 1):
