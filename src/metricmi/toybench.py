@@ -45,6 +45,11 @@ _ATTEMPT_FACTOR = 1000
 # a pruned run gives up once this many times dataset_count consecutive
 # candidates have all been rejected; see run_benchmark
 _STALL_FACTOR = 200
+# the truth screen widens a candidate's bounds by this / sqrt(mc_samples)
+# bits.  A few-sample truth strays below its bounds with a heavy tail: at 4.5
+# a truth fell in a pruning bin outside the widened bounds 6 times in 180 000
+# probes of random models at 1-20 samples, at 9 never (README)
+_SCREEN_MARGIN = 9.0
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,18 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(m) + a_max
 
 
+def _checked_model(sources, sigma2: float) -> np.ndarray:
+    """``sources`` as a float64 (n_s, n_d) array, once the model is checked."""
+    sources = np.asarray(sources, dtype=np.float64)
+    if sources.ndim != 2 or sources.shape[0] < 1:
+        raise ValueError("sources must be a (n_s, n_d) array")
+    if not np.all(np.isfinite(sources)):
+        raise ValueError("sources must be finite")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+    return sources
+
+
 def true_mi(
     sources, sigma2: float, mc_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0
 ) -> float:
@@ -128,15 +145,9 @@ def true_mi(
     ``SIGMA2_DEGENERATE`` the densities degenerate and log2(n_s) is returned
     analytically.
     """
-    sources = np.asarray(sources, dtype=np.float64)
-    if sources.ndim != 2 or sources.shape[0] < 1:
-        raise ValueError("sources must be a (n_s, n_d) array")
-    if not np.all(np.isfinite(sources)):
-        raise ValueError("sources must be finite")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    if not (math.isfinite(sigma2) and sigma2 >= 0):
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+    sources = _checked_model(sources, sigma2)
     n_s = sources.shape[0]
     if sigma2 < SIGMA2_DEGENERATE:
         return math.log2(n_s)
@@ -152,6 +163,29 @@ def true_mi(
     log_mixture = _logsumexp_columns(loglik) - math.log(n_s)
     picked = loglik[which, np.arange(mc_samples)]
     return float(np.mean(picked - log_mixture)) / _LN2
+
+
+def truth_bounds(sources, sigma2: float) -> tuple[float, float]:
+    """Closed-form (lower, upper) bounds in bits on the toy model's true MI.
+
+    The responses are an equal-weight mixture of N(source, sigma2 I), whose
+    MI with the stimulus lies between pairwise-divergence bounds (Kolchinsky
+    & Tracey, Entropy 19:361, 2017): -mean_i log2 mean_j exp(-D_ij) with D
+    the Bhattacharyya distance |s_i - s_j|^2 / 8 sigma2 gives the lower
+    bound, and with the Kullback-Leibler divergence |s_i - s_j|^2 / 2 sigma2
+    the upper.  Below ``SIGMA2_DEGENERATE`` both are log2(n_s), as in
+    ``true_mi``.
+    """
+    sources = _checked_model(sources, sigma2)
+    if sigma2 < SIGMA2_DEGENERATE:
+        full = math.log2(sources.shape[0])
+        return full, full
+    sq = cdist(sources, sources, "sqeuclidean")
+
+    def bound(scale):
+        return -float(np.mean(np.log(np.mean(np.exp(sq / -scale), axis=1)))) / _LN2
+
+    return bound(8.0 * sigma2), bound(2.0 * sigma2)
 
 
 def chi_density(dist, n_d: int, sigma: float):
@@ -224,10 +258,28 @@ def _candidate_spec(protocol: BenchmarkProtocol, seed: int, idx: int) -> ToySpec
     return ToySpec(protocol.n_s, protocol.n_d, protocol.n_t, None, cand_seed)
 
 
-def _probe_candidate(protocol, mc_samples, seed, idx) -> tuple[int, float, float]:
-    """Candidate (cand_seed, sigma2, true_bits) for pruning attempt ``idx``."""
+def _prune_bin(bits: float, log2ns: float) -> int:
+    """Pruning bin of a true MI: its tenth of [0, log2 n_s], the ends clamped."""
+    # clamped before the floor, so an infinite bound falls in an end bin
+    return math.floor(min(max(bits / log2ns * _PRUNE_BINS, 0.0), _PRUNE_BINS - 1))
+
+
+def _probe_candidate(protocol, mc_samples, seed, full, idx) -> tuple[int, float, float | None]:
+    """Candidate (cand_seed, sigma2, true_bits) for pruning attempt ``idx``.
+
+    ``full`` flags the pruning bins that are full.  When every bin that the
+    candidate's truth bounds, widened by the screen's margin, can reach is
+    full, pruning must reject it: true_bits is None and no Monte Carlo runs.
+    """
     spec = _candidate_spec(protocol, seed, idx)
     sources, sigma2 = _draw_model(spec)
+    if any(full):
+        lo, hi = truth_bounds(sources, sigma2)
+        margin = _SCREEN_MARGIN / math.sqrt(mc_samples)
+        log2ns = math.log2(protocol.n_s)
+        reach = range(_prune_bin(lo - margin, log2ns), _prune_bin(hi + margin, log2ns) + 1)
+        if all(full[b] for b in reach):
+            return spec.seed, sigma2, None
     tm = true_mi(sources, sigma2, mc_samples, derived_seed(seed, idx, 1))
     return spec.seed, sigma2, tm
 
@@ -280,9 +332,14 @@ def run_benchmark(
     acceptances in runs that fill every bin, so those runs, and their
     ``attempts``, are unchanged by it.
 
-    With one worker the run computes exactly ``attempts`` true MIs, each
-    when pruning reaches its candidate.  A pool probes in chunks of 256, so
-    up to 255 more can come from the last chunk, computed and never read.
+    Once a bin is full, a candidate whose ``truth_bounds``, widened by
+    9 / sqrt(mc_samples) bits, meet only full bins is rejected without its
+    Monte-Carlo truth; it still counts as an attempt.  Accepted candidates
+    get their truth as unscreened, so unless a truth would have fallen in an
+    open bin beyond the widened bounds (``_SCREEN_MARGIN``), the screen
+    changes only how many truths are computed: with one worker at most
+    ``attempts``.  A pool screens against the bins as its chunk of 256 found
+    them, and up to 255 truths more can come from the last chunk.
 
     The result is independent of ``max_workers``: every dataset consumes only
     its own derived substreams and results are merged in dataset order.
@@ -295,6 +352,8 @@ def run_benchmark(
         raise ValueError("need at least one histogram width")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     lambdas = usable_lambdas(DEFAULT_LAMBDAS, protocol.n_t)
     if len({math.floor(lam * protocol.n_t) for lam in lambdas}) < 3:
         raise ValueError("lambda grid leaves fewer than 3 usable subsample sizes")
@@ -318,7 +377,6 @@ def run_benchmark(
     # one worker probes each candidate only when the loop reaches it; a pool
     # probes in chunks that pay for the parallelism
     chunk = 1 if pool is None else 256
-    probe = functools.partial(_probe_candidate, protocol, mc_samples, seed)
     evaluate = functools.partial(_evaluate_candidate, protocol, widths, lambdas, repeats, seed)
     try:
         while len(accepted) < protocol.dataset_count and attempts < give_up:
@@ -326,13 +384,17 @@ def run_benchmark(
             if not protocol.prune:
                 hi = min(hi, attempts + protocol.dataset_count - len(accepted))
             ids = range(attempts, hi)
+            # bins only fill, so the chunk's first state screens a subset of
+            # the candidates that the live state would
+            full = tuple(n >= per_bin for n in bins) if protocol.prune else ()
+            probe = functools.partial(_probe_candidate, protocol, mc_samples, seed, full)
             probes = list(pool.map(probe, ids, chunksize=32) if pool else map(probe, ids))
             for offset, (cand_seed, sigma2, tm) in enumerate(probes):
                 idx = attempts + offset
+                if tm is None:  # screened
+                    continue
                 if protocol.prune:
-                    which_bin = min(
-                        _PRUNE_BINS - 1, max(0, math.floor(tm / log2ns * _PRUNE_BINS))
-                    )
+                    which_bin = _prune_bin(tm, log2ns)
                     if bins[which_bin] >= per_bin:
                         continue
                     bins[which_bin] += 1

@@ -32,6 +32,7 @@ from metricmi import (
     run_benchmark,
     subsample_draws,
     true_mi,
+    truth_bounds,
 )
 from metricmi.cli import main as cli_main
 
@@ -135,7 +136,29 @@ class TestCriterion2:
         assert hd_kernel_norm <= 0.25
 
 
-class TestCriterion3:
+class TestTruthBounds:
+    def test_accepted_truths_within_bounds(
+        self, bench_low_trials, bench_high_trials, bench_high_dim, bench_few_stimuli
+    ):
+        # 5 x 0.014 bits, the largest standard error of a 10 000-sample truth
+        # measured over the toy models (ROADMAP)
+        tol = 0.07
+        excursions = []
+        for result in (bench_low_trials, bench_high_trials, bench_high_dim, bench_few_stimuli):
+            p = result.protocol
+            for r in result.records:
+                _, sources, sigma2 = generate_toy(ToySpec(p.n_s, p.n_d, p.n_t, None, r.seed))
+                lo, hi = truth_bounds(sources, sigma2)
+                excursions.append(max(lo - r.true_bits, r.true_bits - hi, 0.0))
+        worst = max(excursions)
+        _report(
+            "truth bounds",
+            worst <= tol,
+            f"{sum(e > 0 for e in excursions)} of {len(excursions)} accepted Monte-Carlo "
+            f"truths outside their closed-form bounds, worst by {worst:.2e} <= {tol} bits",
+        )
+        assert worst <= tol
+
     def test_extreme_case_exactness(self):
         rng = np.random.default_rng(SEED)
         cluster_ok = True

@@ -24,6 +24,7 @@ from metricmi import (
     kernel_mi,
     run_benchmark,
     true_mi,
+    truth_bounds,
 )
 from metricmi import toybench
 from metricmi.bias import usable_lambdas
@@ -79,6 +80,24 @@ def count_truths(monkeypatch) -> list:
 
     monkeypatch.setattr(toybench, "true_mi", counting)
     return calls
+
+
+def run_counting(protocol, screen: bool, **options):
+    """run_benchmark and the list of its true_mi calls, with or without the screen.
+
+    Without it ``truth_bounds`` reads (-inf, inf): every bin is in reach, and
+    a candidate is screened only when all bins are full, which ends probing.
+    Pool workers fork from this process, so they see the same bounds.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_truths(mp)
+        if not screen:
+            mp.setattr(toybench, "truth_bounds", lambda sources, sigma2: (-math.inf, math.inf))
+        return run_benchmark(protocol, **options), calls
+
+
+def same_result(a, b) -> bool:
+    return a.records == b.records and a.summary == b.summary
 
 
 class TestToySpec:
@@ -233,6 +252,48 @@ class TestTrueMi:
                 true_mi(np.zeros((2, 2)), bad)
 
 
+class TestTruthBounds:
+    # 5 x 0.014 bits, the largest standard error of a 10 000-sample truth
+    # measured over the toy models (ROADMAP)
+    TOL = 0.07
+
+    def test_bracket_monte_carlo_truth(self):
+        rng = np.random.default_rng(26)
+        for n_d in range(1, 11):
+            for n_s in (2, 3, 10):
+                sources = rng.uniform(-0.5, 0.5, (n_s, n_d))
+                sigma2 = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
+                lo, hi = truth_bounds(sources, sigma2)
+                assert 0.0 <= lo <= hi <= math.log2(n_s) + 1e-12
+                mc = true_mi(sources, sigma2, 10_000, seed=n_d)
+                assert lo - self.TOL <= mc <= hi + self.TOL, (n_d, n_s, sigma2)
+
+    def test_bracket_quadrature_truth(self):
+        # the 1-d oracle has no sampling error: the bounds hold to its precision
+        for offset, sigma2 in [(0.25, 0.0625), (0.25, 0.01), (0.25, 0.25),
+                               (0.4, 0.04), (0.1, 1.0)]:
+            sources = np.array([[-offset], [offset]])
+            lo, hi = truth_bounds(sources, sigma2)
+            assert lo - 1e-7 <= quadrature_mi_1d(sources, sigma2) <= hi + 1e-7
+
+    def test_validation(self):
+        # the model checks of true_mi
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            truth_bounds(np.zeros((2, 2)), -0.1)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            truth_bounds(np.zeros((2, 2)), math.nan)
+        with pytest.raises(ValueError, match="sources must be finite"):
+            truth_bounds(np.array([[0.0, math.inf], [0.1, 0.2]]), 0.5)
+        with pytest.raises(ValueError, match=r"\(n_s, n_d\) array"):
+            truth_bounds(np.zeros(3), 0.5)
+
+    def test_limits_are_exact(self):
+        assert truth_bounds(np.tile([0.25, -0.1, 0.4], (6, 1)), 0.3) == (0.0, 0.0)
+        sources = np.random.default_rng(3).uniform(-0.5, 0.5, (10, 3))
+        for sigma2 in (0.0, 5e-11):
+            assert truth_bounds(sources, sigma2) == (math.log2(10), math.log2(10))
+
+
 class TestChiDensity:
     def test_one_dimension_is_half_normal(self):
         sigma = 0.4
@@ -316,25 +377,25 @@ class TestRunBenchmark:
         assert res.summary["attempts"] == 6
         assert len(res.records) == 6
 
-    def test_one_worker_computes_exactly_attempts_truths(self, monkeypatch):
-        calls = count_truths(monkeypatch)
+    def test_one_worker_computes_exactly_attempts_truths(self):
+        # unscreened, one truth per attempt; the screen skips some, same result
         protocol = BenchmarkProtocol(n_s=4, n_d=2, n_t=10, dataset_count=10)
-        res = run_benchmark(
-            protocol, seed=3, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1
-        )
+        options = dict(seed=3, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1)
+        res, calls = run_counting(protocol, False, **options)
         assert res.summary["shortfall"] == 0
         assert len(calls) == res.summary["attempts"] > 10
+        screened, screened_calls = run_counting(protocol, True, **options)
+        assert same_result(screened, res)
+        assert len(screened_calls) < len(calls)
 
-    def test_unreachable_bin_stops_early(self, monkeypatch):
+    def test_unreachable_bin_stops_early(self):
         # at n_s=10, n_d=10 no sigma2 <= 1 brings normalized MI below 0.1, so
         # bin 0 never fills; probing gives up 200 x dataset_count attempts
         # after the last acceptance instead of running to the 10 000 cap
-        calls = count_truths(monkeypatch)
         protocol = BenchmarkProtocol(n_s=10, n_d=10, n_t=10, dataset_count=10)
+        options = dict(seed=0, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1)
         with pytest.warns(UserWarning, match="filled only 9 of 10"):
-            res = run_benchmark(
-                protocol, seed=0, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1
-            )
+            res, calls = run_counting(protocol, False, **options)
         s = res.summary
         assert s["accepted"] == 9 and s["shortfall"] == 1
         us = [r.true_bits / math.log2(10) for r in res.records]
@@ -345,6 +406,25 @@ class TestRunBenchmark:
         )
         assert s["attempts"] == last + 1 + 200 * protocol.dataset_count < 10_000
         assert len(calls) == s["attempts"]
+        with pytest.warns(UserWarning, match="filled only 9 of 10"):
+            screened, screened_calls = run_counting(protocol, True, **options)
+        assert same_result(screened, res)
+        assert len(screened_calls) < len(calls)
+
+    @pytest.mark.parametrize("n_s", [3, 10, 40])
+    @pytest.mark.parametrize("mc_samples", [1, 10, 50, 500, 2000])
+    def test_screen_changes_no_decision(self, mc_samples, n_s):
+        # the screen's margin shrinks as 1/sqrt(mc_samples) while the noise of
+        # a truth grows: at every sample count the screened and unscreened
+        # runs accept the same candidates; a pool screens against the bins as
+        # its chunk found them
+        protocol = BenchmarkProtocol(n_s=n_s, n_d=2, n_t=10, dataset_count=10)
+        for seed, workers in ((0, 1), (1, 1), (2, 2)):
+            options = dict(seed=seed, widths=(1.0,), repeats=1, mc_samples=mc_samples,
+                           max_workers=workers)
+            screened, _ = run_counting(protocol, True, **options)
+            unscreened, _ = run_counting(protocol, False, **options)
+            assert same_result(screened, unscreened), (seed, workers)
 
     def test_raw_values_are_the_plain_estimates(self):
         # each raw value is its curve's point at n_t: the estimator on all points
@@ -364,8 +444,9 @@ class TestRunBenchmark:
     @pytest.mark.parametrize(
         "options, flags, msg",
         [({"widths": (0.0, 1.0)}, ["--widths", "0,1"], "bin width must be finite and positive"),
-         ({"repeats": 0}, ["--repeats", "0"], "repeats must be >= 1")],
-        ids=["width", "repeats"],
+         ({"repeats": 0}, ["--repeats", "0"], "repeats must be >= 1"),
+         ({"mc_samples": 0}, ["--mc-samples", "0"], "mc_samples must be >= 1")],
+        ids=["width", "repeats", "mc_samples"],
     )
     def test_bad_options_fail_before_probing(
         self, monkeypatch, capsys, tmp_path, options, flags, msg
@@ -376,7 +457,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(toybench, "_probe_candidate", probe)
         protocol = BenchmarkProtocol(n_s=10, n_d=10, n_t=20, dataset_count=10)
         with pytest.raises(ValueError, match=msg):
-            run_benchmark(protocol, mc_samples=2000, max_workers=1, **options)
+            run_benchmark(protocol, **{"mc_samples": 2000, "max_workers": 1, **options})
         code = main(["benchmark", "--ns", "10", "--nd", "10", "--nt", "20", "--datasets",
                      "10", "--threads", "1", "--mc-samples", "2000", *flags, "-o", str(tmp_path)])
         assert code == 1 and msg in capsys.readouterr().err
