@@ -159,6 +159,8 @@ class TestTruthBounds:
         )
         assert worst <= tol
 
+
+class TestCriterion3:
     def test_extreme_case_exactness(self):
         rng = np.random.default_rng(SEED)
         cluster_ok = True
