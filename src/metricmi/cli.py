@@ -271,6 +271,8 @@ def _cmd_benchmark(args, parser) -> int:
     protocol = BenchmarkProtocol(
         args.ns, args.nd, args.nt, args.datasets, prune=not args.no_prune
     )
+    # an -o that cannot be a directory fails before any probing
+    os.makedirs(args.output, exist_ok=True)
     result = run_benchmark(
         protocol,
         seed=args.seed,
@@ -279,7 +281,6 @@ def _cmd_benchmark(args, parser) -> int:
         mc_samples=args.mc_samples,
         max_workers=args.threads,
     )
-    os.makedirs(args.output, exist_ok=True)
     write_records_csv(result, os.path.join(args.output, "records.csv"))
     write_summary_json(result, os.path.join(args.output, "summary.json"))
     write_scatter_dat(result, os.path.join(args.output, "scatter.dat"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -337,12 +338,13 @@ def run_benchmark(
     Monte-Carlo truth; it still counts as an attempt.  Accepted candidates
     get their truth as unscreened, so unless a truth would have fallen in an
     open bin beyond the widened bounds (``_SCREEN_MARGIN``), the screen
-    changes only how many truths are computed: with one worker at most
-    ``attempts``.  A pool screens against the bins as its chunk of 256 found
-    them, and up to 255 truths more can come from the last chunk.
+    changes only how many truths are computed: at most ``attempts``.
 
-    The result is independent of ``max_workers``: every dataset consumes only
-    its own derived substreams and results are merged in dataset order.
+    Probing runs in the calling process; up to ``max_workers`` processes
+    (default: all cores, never more than the accepted datasets) evaluate the
+    estimators.  The result is independent of ``max_workers``: every dataset
+    consumes only its own derived substreams and results are merged in
+    dataset order.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -360,12 +362,9 @@ def run_benchmark(
 
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
-    pool = None
-    if max_workers is None or max_workers > 1:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
 
-    # candidates are probed in index order against their own substreams, so
-    # the accepted set is identical however the probing is parallelized
+    # candidates are probed one at a time in index order, each against its
+    # own substreams and the bins as the candidates before it left them
     log2ns = math.log2(protocol.n_s)
     per_bin = protocol.dataset_count // _PRUNE_BINS
     bins = [0] * _PRUNE_BINS
@@ -374,49 +373,37 @@ def run_benchmark(
     give_up = min(max_attempts, stall_limit)  # attempt count at which probing stops
     accepted = []  # (attempt index, cand_seed, sigma2, true_bits)
     attempts = 0
-    # one worker probes each candidate only when the loop reaches it; a pool
-    # probes in chunks that pay for the parallelism
-    chunk = 1 if pool is None else 256
-    evaluate = functools.partial(_evaluate_candidate, protocol, widths, lambdas, repeats, seed)
-    try:
-        while len(accepted) < protocol.dataset_count and attempts < give_up:
-            hi = min(attempts + chunk, give_up)
-            if not protocol.prune:
-                hi = min(hi, attempts + protocol.dataset_count - len(accepted))
-            ids = range(attempts, hi)
-            # bins only fill, so the chunk's first state screens a subset of
-            # the candidates that the live state would
-            full = tuple(n >= per_bin for n in bins) if protocol.prune else ()
-            probe = functools.partial(_probe_candidate, protocol, mc_samples, seed, full)
-            probes = list(pool.map(probe, ids, chunksize=32) if pool else map(probe, ids))
-            for offset, (cand_seed, sigma2, tm) in enumerate(probes):
-                idx = attempts + offset
-                if tm is None:  # screened
-                    continue
-                if protocol.prune:
-                    which_bin = _prune_bin(tm, log2ns)
-                    if bins[which_bin] >= per_bin:
-                        continue
-                    bins[which_bin] += 1
-                accepted.append((idx, cand_seed, sigma2, tm))
-                give_up = min(max_attempts, idx + 1 + stall_limit)
-                if len(accepted) == protocol.dataset_count:
-                    attempts = idx + 1
-                    break
-            else:
-                attempts = hi
-        shortfall = protocol.dataset_count - len(accepted)
-        if shortfall > 0:
-            warnings.warn(
-                f"pruning filled only {len(accepted)} of {protocol.dataset_count} "
-                f"datasets after {attempts} attempts"
-            )
+    while len(accepted) < protocol.dataset_count and attempts < give_up:
+        idx = attempts
+        attempts += 1
+        full = tuple(n >= per_bin for n in bins) if protocol.prune else ()
+        cand_seed, sigma2, tm = _probe_candidate(protocol, mc_samples, seed, full, idx)
+        if tm is None:  # screened
+            continue
+        if protocol.prune:
+            which_bin = _prune_bin(tm, log2ns)
+            if bins[which_bin] >= per_bin:
+                continue
+            bins[which_bin] += 1
+        accepted.append((idx, cand_seed, sigma2, tm))
+        give_up = min(max_attempts, attempts + stall_limit)
+    shortfall = protocol.dataset_count - len(accepted)
+    if shortfall > 0:
+        warnings.warn(
+            f"pruning filled only {len(accepted)} of {protocol.dataset_count} "
+            f"datasets after {attempts} attempts"
+        )
 
-        indices = [idx for idx, _, _, _ in accepted]
-        outcomes = list(pool.map(evaluate, indices) if pool else map(evaluate, indices))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    evaluate = functools.partial(_evaluate_candidate, protocol, widths, lambdas, repeats, seed)
+    indices = [idx for idx, _, _, _ in accepted]
+    # a pool starts all its workers at its first map, so it gets no more
+    # than there are datasets
+    workers = min(max_workers or os.cpu_count() or 1, len(indices))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(evaluate, indices))
+    else:
+        outcomes = list(map(evaluate, indices))
 
     truths = np.array([t for _, _, _, t in accepted])
     if outcomes:

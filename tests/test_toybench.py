@@ -87,7 +87,6 @@ def run_counting(protocol, screen: bool, **options):
 
     Without it ``truth_bounds`` reads (-inf, inf): every bin is in reach, and
     a candidate is screened only when all bins are full, which ends probing.
-    Pool workers fork from this process, so they see the same bounds.
     """
     with pytest.MonkeyPatch.context() as mp:
         calls = count_truths(mp)
@@ -377,16 +376,22 @@ class TestRunBenchmark:
         assert res.summary["attempts"] == 6
         assert len(res.records) == 6
 
-    def test_one_worker_computes_exactly_attempts_truths(self):
-        # unscreened, one truth per attempt; the screen skips some, same result
+    def test_truths_per_attempt_independent_of_workers(self):
+        # probing runs in this process whatever the worker count: unscreened,
+        # one truth per attempt; the screen skips some, same result
         protocol = BenchmarkProtocol(n_s=4, n_d=2, n_t=10, dataset_count=10)
-        options = dict(seed=3, widths=(1.0,), repeats=2, mc_samples=500, max_workers=1)
-        res, calls = run_counting(protocol, False, **options)
-        assert res.summary["shortfall"] == 0
-        assert len(calls) == res.summary["attempts"] > 10
-        screened, screened_calls = run_counting(protocol, True, **options)
-        assert same_result(screened, res)
-        assert len(screened_calls) < len(calls)
+        counts = set()
+        for workers in (1, 2):
+            options = dict(seed=3, widths=(1.0,), repeats=2, mc_samples=500,
+                           max_workers=workers)
+            res, calls = run_counting(protocol, False, **options)
+            assert res.summary["shortfall"] == 0
+            assert len(calls) == res.summary["attempts"] > 10
+            screened, screened_calls = run_counting(protocol, True, **options)
+            assert same_result(screened, res)
+            assert len(screened_calls) < len(calls)
+            counts.add((len(calls), len(screened_calls)))
+        assert len(counts) == 1
 
     def test_unreachable_bin_stops_early(self):
         # at n_s=10, n_d=10 no sigma2 <= 1 brings normalized MI below 0.1, so
@@ -416,8 +421,7 @@ class TestRunBenchmark:
     def test_screen_changes_no_decision(self, mc_samples, n_s):
         # the screen's margin shrinks as 1/sqrt(mc_samples) while the noise of
         # a truth grows: at every sample count the screened and unscreened
-        # runs accept the same candidates; a pool screens against the bins as
-        # its chunk found them
+        # runs accept the same candidates
         protocol = BenchmarkProtocol(n_s=n_s, n_d=2, n_t=10, dataset_count=10)
         for seed, workers in ((0, 1), (1, 1), (2, 2)):
             options = dict(seed=seed, widths=(1.0,), repeats=1, mc_samples=mc_samples,
@@ -451,7 +455,7 @@ class TestRunBenchmark:
     def test_bad_options_fail_before_probing(
         self, monkeypatch, capsys, tmp_path, options, flags, msg
     ):
-        def probe(args):
+        def probe(*args):
             raise AssertionError("probed a candidate despite a bad option")
 
         monkeypatch.setattr(toybench, "_probe_candidate", probe)
@@ -461,6 +465,47 @@ class TestRunBenchmark:
         code = main(["benchmark", "--ns", "10", "--nd", "10", "--nt", "20", "--datasets",
                      "10", "--threads", "1", "--mc-samples", "2000", *flags, "-o", str(tmp_path)])
         assert code == 1 and msg in capsys.readouterr().err
+
+    def test_output_file_fails_before_probing(self, monkeypatch, capsys, tmp_path):
+        def probe(*args):
+            raise AssertionError("probed a candidate despite an unusable -o")
+
+        monkeypatch.setattr(toybench, "_probe_candidate", probe)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["benchmark", "--ns", "3", "--nd", "2", "--nt", "10", "--datasets",
+                     "10", "--threads", "1", "-o", str(out)])
+        assert code == 1 and "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "max_workers, datasets, cpus, pool",
+        [(5000, 10, 2, 10), (None, 10, 4, 4), (None, 10, None, None), (1, 10, 4, None),
+         (4, 1, 4, None), (3, 10, 64, 3)],
+    )
+    def test_pool_sized_to_the_work(self, monkeypatch, max_workers, datasets, cpus, pool):
+        # a stand-in pool records its size and evaluates in this process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(toybench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=datasets, prune=False)
+        res = run_benchmark(protocol, seed=1, widths=(1.0,), repeats=1, mc_samples=50,
+                            max_workers=max_workers)
+        assert len(res.records) == datasets
+        assert sizes == ([] if pool is None else [pool])
 
     def test_lambda_grid_validation(self, capsys, tmp_path):
         # n_t = 3 leaves the default fractions 2 or 3 trials per stimulus
