@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, derived_seed, subsample_batch
+from .data import LabeledDataset, curve_subsamples
 from .data import subsample_indices  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .estimators import KernelConfig, kernel_bits_from_counts
 from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
@@ -60,7 +60,8 @@ def subsample_draws(
     with the estimator's own message.  For lam < 1 there are ``repeats``
     independent stratified draws (substreams derived from (seed,
     lambda-index, repeat-index), so results do not depend on evaluation
-    order); lam = 1 is the whole dataset, once.
+    order); lam = 1 is the whole dataset, once.  All are drawn in one batch
+    by ``curve_subsamples``, after its check that they fit in memory.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -78,8 +79,8 @@ def subsample_draws(
     lambdas = tuple(lambdas)
     if not lambdas:
         raise ValueError("no subsample fractions given")
-    draws = []
-    for li, lam in enumerate(lambdas):
+    sizes = []
+    for lam in lambdas:
         if not 0.0 < lam <= 1.0:
             raise ValueError(f"subsample fraction must be in (0, 1], got {lam}")
         n_t_sub = math.floor(lam * d.n_t)
@@ -90,13 +91,8 @@ def subsample_draws(
         if explicit and n_t_sub < fewest:
             raise ValueError(f"fraction {lam} leaves {n_t_sub} trials per stimulus; "
                              f"{config!r} needs at least {fewest}")
-        if n_t_sub == d.n_t:
-            subsets = [np.arange(d.n_r, dtype=np.intp)]
-        else:
-            seeds = [derived_seed(seed, li, ri) for ri in range(repeats)]
-            subsets = subsample_batch(d, lam, seeds)
-        draws.append((n_t_sub, subsets))
-    return draws
+        sizes.append(n_t_sub)
+    return list(zip(sizes, curve_subsamples(d, sizes, repeats, seed)))
 
 
 def subsample_curve(

@@ -210,12 +210,7 @@ def _cmd_distances(args, parser) -> int:
 def _cmd_estimate(args, parser) -> int:
     _check_flags(args, parser)
     dataset = load_dataset(args.input, args.format)
-    try:
-        out = _estimate(args, parser, dataset)
-    except MemoryError:
-        if args.histogram:
-            raise
-        raise _out_of_memory(dataset.n_r, with_order=True) from None
+    out = _estimate(args, parser, dataset)
     # NaN and infinity are not JSON: refuse them before writing anything
     for key, value in out.items():
         for x in [bits for _, bits in value] if key == "curve" else [value]:
@@ -232,8 +227,8 @@ def _cmd_estimate(args, parser) -> int:
 
 def _estimate(args, parser, dataset) -> dict:
     # under --bias-correct the raw value is the curve's point on all points,
-    # from the one call that evaluates the curve
-    dm = None
+    # from the one call that evaluates the curve; the subsamples are drawn
+    # first, so that their own memory check runs before the matrix is built
     if args.histogram:
         origin = 0.0 if args.origin is None else args.origin
         config = HistogramConfig(width=args.bin_width, origin=origin)
@@ -247,19 +242,24 @@ def _estimate(args, parser, dataset) -> dict:
             config = KernelConfig(h=args.h_frac)
         else:
             config = KernelConfig(n_h=dataset.n_t)
-        dm = distance_matrix(dataset, metric)
-
-    if not args.bias_correct:
+    if args.bias_correct:
+        repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
+        seed = 0 if args.seed is None else args.seed
+        draws = subsample_draws(dataset, args.lambdas, repeats, seed, config)
+    try:
+        dm = None if args.histogram else distance_matrix(dataset, metric)
+        if not args.bias_correct:
+            if args.histogram:
+                estimate = histogram_mi(dataset, config)
+            else:
+                estimate = (ksg_mi if args.ksg else kernel_mi)(dataset, dm, config)
+            return {"estimator": estimate.estimator, "config": estimate.config,
+                    "bits": estimate.bits}
+        fit, curve, raw = bias_corrected_mi(dataset, dm, config, draws)
+    except MemoryError:
         if args.histogram:
-            estimate = histogram_mi(dataset, config)
-        else:
-            estimate = (ksg_mi if args.ksg else kernel_mi)(dataset, dm, config)
-        return {"estimator": estimate.estimator, "config": estimate.config,
-                "bits": estimate.bits}
-    repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
-    seed = 0 if args.seed is None else args.seed
-    draws = subsample_draws(dataset, args.lambdas, repeats, seed, config)
-    fit, curve, raw = bias_corrected_mi(dataset, dm, config, draws)
+            raise
+        raise _out_of_memory(dataset.n_r, with_order=True) from None
     estimate = config.tag(raw, dataset.n_r)
     return {"estimator": estimate.estimator, "config": estimate.config,
             "bits": estimate.bits, "curve": [[size, bits] for size, bits in curve],

@@ -8,8 +8,12 @@ seconds); the two variants never mix within a dataset.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from itertools import chain
+import operator
+import os
+import resource
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -352,6 +356,42 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def memory_limit() -> int:
+    """The most memory, in bytes, that this process can get; limits are only read.
+
+    The least of physical memory, the soft ``RLIMIT_AS`` and ``RLIMIT_DATA``,
+    and the limit of the process's memory cgroup (v2 ``memory.max``, v1
+    ``memory.limit_in_bytes``) where one can be read.
+    """
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    limits += [resource.getrlimit(which)[0] for which in (resource.RLIMIT_AS, resource.RLIMIT_DATA)]
+    with contextlib.suppress(OSError):
+        with open("/proc/self/cgroup", "rb") as fh:
+            groups = [line.split(":", 2) for line in fh.read().decode("ascii").splitlines()]
+        for _, controllers, path in groups:
+            if not controllers:
+                name = f"/sys/fs/cgroup{path}/memory.max"
+            elif "memory" in controllers.split(","):
+                name = f"/sys/fs/cgroup/memory{path}/memory.limit_in_bytes"
+            else:
+                continue
+            with contextlib.suppress(OSError, ValueError), open(name, "rb") as fh:
+                limits.append(int(fh.read()))  # "max" is no limit
+    return min(limit for limit in limits if limit != resource.RLIM_INFINITY)
+
+
+def check_draw_memory(n_s: int, n_t: int, sizes, repeats: int) -> None:
+    """Raise MemoryError, before drawing, if a curve's subsample indices would not fit.
+
+    They take 8 bytes a trial: ``repeats`` times n_s * k for each k of
+    ``sizes`` below n_t, and n_s * n_t once for a k of n_t.
+    """
+    need = 8 * n_s * sum(k if k == n_t else repeats * k for k in sizes)
+    if need > (limit := memory_limit()):
+        raise MemoryError(f"repeats = {repeats}: the subsample indices of one curve need "
+                          f"{need} bytes, more than the {limit} bytes this process can use")
+
+
 def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
     """Point indices of a stratified subsample: floor(lam * n_t) trials per stimulus.
 
@@ -366,7 +406,10 @@ def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
 
 
 def subsample_batch(d: LabeledDataset, lam: float, seeds) -> list[np.ndarray]:
-    """``[subsample_indices(d, lam, seed) for seed in seeds]``, drawn in one batch."""
+    """``[subsample_indices(d, lam, seed) for seed in seeds]``, drawn in one batch.
+
+    The batch of ``curve_subsamples``, on one fraction and the seeds given.
+    """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"subsample fraction must be in (0, 1], got {lam}")
     seeds = list(seeds)
@@ -379,40 +422,182 @@ def subsample_batch(d: LabeledDataset, lam: float, seeds) -> list[np.ndarray]:
         )
     if k == d.n_t:
         return [np.arange(d.n_r, dtype=np.intp) for _ in seeds]
-    return _choice_batch(d, k, [np.random.PCG64(seed) for seed in seeds])
+    return _choice_batch(d, [k] * len(seeds), _pcg64_states(*_seed_words(seeds)))
 
 
-def _choice_batch(d: LabeledDataset, k: int, bitgens) -> list[np.ndarray]:
-    """Per fresh PCG64, the sorted picks of ``Generator(bitgen).choice(row, k, replace=False)``.
+def curve_subsamples(d: LabeledDataset, sizes, repeats: int, seed: int) -> list[list[np.ndarray]]:
+    """A curve's stratified subsamples: the draws of each trial count k of ``sizes``.
 
-    ``choice`` runs Floyd's algorithm: pick j = n_t - k ... n_t - 1 takes
-    (u * (j + 1)) >> 32 of the next 32-bit value u (Lemire's bounded integer),
-    or j if that is chosen already; then it shuffles the picks with k - 1 more
-    values, consumed here but moot for sorted indices.  ``choice`` itself
-    draws for a seed with a value Lemire's method rejects, and past numpy's
-    tail-shuffle cutoff.
+    A k below n_t gets ``repeats`` draws; draw ri of ``sizes[li]`` is
+    ``subsample_indices`` at k trials per stimulus and seed
+    ``derived_seed(seed, li, ri)``.  A k of n_t is the whole dataset, once.
+    ``check_draw_memory`` runs first.  All seeds and PCG64 states come from
+    one vectorized pass of SeedSequence's hash, and one ``_choice_batch``
+    draws every fraction.
     """
+    check_draw_memory(d.n_s, d.n_t, sizes, repeats)
+    order = sorted((li for li, k in enumerate(sizes) if k < d.n_t), key=lambda li: -sizes[li])
+    li = np.repeat(np.array(order, dtype=np.uint64), repeats)
+    ri = np.tile(np.arange(repeats, dtype=np.uint64), len(order))
+    states = _pcg64_states(_derived_seeds(seed, li, ri)[None, :], 1)
+    draws = _choice_batch(d, [sizes[i] for i in order for _ in range(repeats)], states)
+    out = [[np.arange(d.n_r, dtype=np.intp)] for _ in sizes]
+    for at, i in enumerate(order):
+        out[i] = draws[at * repeats : (at + 1) * repeats]
+    return out
+
+
+# numpy's SeedSequence hash on uint32 words (bit_generator.pyx) and PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_BUCKET_CELLS = 2**16  # at most this many (draw, point) cells are drawn together
+
+
+def _seed_words(seeds) -> tuple[np.ndarray, np.ndarray]:
+    # the SeedSequence words of each int seed, least significant first, as the
+    # columns of an array zero-padded past each seed's own; and their counts
+    words = [[seed >> at & _MASK32 for at in range(0, max(seed.bit_length(), 1), 32)]
+             for seed in map(operator.index, seeds)]
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    entropy = np.zeros((lengths.max(initial=1), len(words)), dtype=np.uint32)
+    for lane, w in enumerate(words):
+        entropy[: len(w), lane] = w
+    return entropy, lengths
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    # the constants of n successive SeedSequence hashes, from init on, as a column
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(value, consts):
+    # hash i of a run xors constant i and multiplies by constant i + 1
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> 16)
+
+
+def _seed_states(entropy: np.ndarray, lengths, n_words: int) -> np.ndarray:
+    """``SeedSequence(words).generate_state(n_words)`` of every lane: (n_words, lanes) uint32.
+
+    Column i of the (L, lanes) ``entropy`` holds lane i's ``lengths[i]``
+    words, zeros after them.  The pool of 4 words hashes a zero for each one
+    that a lane lacks, so a short lane is its words padded; a word past the
+    fourth is mixed into the whole pool, and only where the lane has it.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(len(entropy) - 4, 0))
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = _hash(pool, consts[:5])
+    for src in range(4):
+        # pool word src enters each other word in turn, hashed afresh for each
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+    for i, word in enumerate(entropy[4:]):
+        mixed = _mix(pool, _hash(word, consts[16 + 4 * i : 21 + 4 * i]))
+        pool = np.where(lengths > 4 + i, mixed, pool)
+    return _hash(pool[np.arange(n_words) % 4], _hash_consts(_INIT_B, _MULT_B, n_words))
+
+
+def _derived_seeds(seed: int, li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    """``derived_seed(seed, li[i], ri[i])`` of every lane i, as uint32; each li below 2**32."""
+    base = _seed_words([seed])[0]
+    entropy = np.empty((len(base) + 3, li.size), dtype=np.uint32)
+    entropy[: len(base)] = base
+    entropy[len(base) :] = li, ri & _MASK32, ri >> 32  # a second word of ri where it has one
+    return _seed_states(entropy, len(base) + 2 + (ri > _MASK32), 1)[0]
+
+
+def _pcg64_states(entropy: np.ndarray, lengths) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for the seed of every lane.
+
+    Each seed is given by its SeedSequence words, as ``_seed_states`` takes
+    them.  PCG64 reads ``generate_state(4, uint64)`` as two 128-bit numbers,
+    high word first: a start s and a stream t.  Its increment is 2t + 1, and
+    its state two LCG steps from 0 with s added between them.
+    """
+    words = _seed_states(entropy, lengths, 8)
+    states = []
+    for s_hi, s_lo, t_hi, t_lo in np.ascontiguousarray(words.T, "<u4").view("<u8").tolist():
+        inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _choice_batch(d: LabeledDataset, ks: list, states: list) -> list[np.ndarray]:
+    """Per lane, the sorted picks of ``Generator(bitgen).choice(row, ks[i], replace=False)``.
+
+    ``bitgen`` is a PCG64 at ``states[i]``, a ``(state, inc)`` pair, and
+    ``ks`` does not increase.  ``choice`` runs Floyd's algorithm: pick j =
+    n_t - k ... n_t - 1 takes (u * (j + 1)) >> 32 of the next 32-bit value u
+    (Lemire's bounded integer), or j if that is chosen already; then it
+    shuffles the picks with k - 1 more values, consumed here but moot for
+    sorted indices.  Step t runs at once on every (lane, stimulus) row with
+    k > t, a prefix of the rows.  ``choice`` itself draws a lane holding a
+    value that Lemire's method rejects, and past numpy's tail-shuffle cutoff.
+    Lanes go in buckets of at most ``_BUCKET_CELLS`` (lane, point) cells, or
+    one lane.
+    """
+    step = max(1, _BUCKET_CELLS // d.n_r)
+    if len(ks) > step:
+        return [draw for at in range(0, len(ks), step)
+                for draw in _choice_batch(d, ks[at : at + step], states[at : at + step])]
     n_s, n_t = d.positions.shape
-    if not bitgens or (n_t > 10000 and k > n_t // 50):
-        return [_choice_loop(d, k, bitgen) for bitgen in bitgens]
-    bounds = np.r_[n_t - k + 1 : n_t + 1, k:1:-1].astype(np.uint64)  # Floyd's j + 1, shuffle's
-    words = -(-n_s * bounds.size // 2)
-    raw = np.array([bitgen.random_raw(words) for bitgen in bitgens], dtype="<u8")
-    u = raw.view("<u4")[:, : n_s * bounds.size].reshape(-1, bounds.size)  # low half first
-    m = u.astype(np.uint64) * bounds
-    rejected = ((m & 0xFFFFFFFF) < (1 << 32) % bounds).reshape(len(bitgens), -1).any(axis=1)
-    # pick t of every (seed, stimulus) row at once, on flat positions in a table of rows
-    base = np.arange(m.shape[0]) * n_t
-    picks = ((m[:, :k] >> 32).astype(np.intp) + base[:, None]).T.copy()
-    chosen = np.zeros(base.size * n_t, dtype=bool)
-    for at, j in zip(picks, base + np.arange(n_t - k, n_t)[:, None]):
-        chosen[np.where(chosen[at], j, at)] = True
-    mask = np.zeros((len(bitgens), d.n_r), dtype=bool)
-    mask[:, d.positions] = chosen.reshape(len(bitgens), n_s, n_t)
-    draws = list(np.flatnonzero(mask).reshape(len(bitgens), -1) % d.n_r)
-    for r in np.flatnonzero(rejected):
-        draws[r] = _choice_loop(d, k, bitgens[r].advance(-words))  # rewound to fresh
-    return draws
+    bitgen = np.random.PCG64(0)
+
+    def fresh(state):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+                        "has_uint32": 0, "uinteger": 0}
+        return bitgen
+
+    tail = sum(n_t > 10000 and k > n_t // 50 for k in ks)  # the largest ks
+    looped = [_choice_loop(d, k, fresh(state)) for k, state in zip(ks[:tail], states[:tail])]
+    ks, states = ks[tail:], states[tail:]
+    if not ks:
+        return looped
+    rows = len(ks) * n_s
+    picks = np.zeros((ks[0], rows), dtype=np.intp)  # pick t of every row
+    # the bounds of k picks: Floyd's j + 1, the last k of up; the shuffle's, the last k - 1 of down
+    up, down = np.arange(1, n_t + 1, dtype=np.uint64), np.arange(n_t, 1, -1, dtype=np.uint64)
+    rejected, start = [], 0
+    for k, lanes in groupby(ks):
+        stop = start + len(list(lanes))
+        values = n_s * (2 * k - 1)
+        raw = np.array([fresh(s).random_raw(-(-values // 2)) for s in states[start:stop]], "<u8")
+        u = raw.view("<u4")[:, :values].reshape(-1, 2 * k - 1)  # low half first
+        bounds = np.concatenate([up[n_t - k :], down[n_t - k :]])
+        m = u * bounds
+        low = (m & _MASK32) < (1 << 32) % bounds
+        if low.any():
+            rejected += (start + np.flatnonzero(low.reshape(stop - start, -1).any(axis=1))).tolist()
+        picks[:k, start * n_s : stop * n_s] = (m[:, :k] >> 32).T
+        start = stop
+    # on flat positions in a table of rows: row r takes j = n_t - k + t at step t if needed
+    base = np.arange(rows) * n_t
+    steps = np.arange(ks[0])[:, None]
+    picks += base
+    floyd_j = base + n_t - np.repeat(ks, n_s) + steps
+    chosen = np.zeros(rows * n_t, dtype=bool)
+    for t, active in enumerate((n_s * (steps < ks).sum(axis=1)).tolist()):
+        at = picks[t, :active]
+        chosen[np.where(chosen[at], floyd_j[t, :active], at)] = True
+    mask = np.zeros((len(ks), d.n_r), dtype=bool)
+    mask[:, d.positions] = chosen.reshape(len(ks), n_s, n_t)
+    flat = np.flatnonzero(mask) % d.n_r
+    ends = np.cumsum(n_s * np.array(ks)).tolist()
+    draws = [flat[end - n_s * k : end] for end, k in zip(ends, ks)]
+    for lane in rejected:
+        draws[lane] = _choice_loop(d, ks[lane], fresh(states[lane]))
+    return looped + draws
 
 
 def _choice_loop(d: LabeledDataset, k: int, bitgen) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 
 from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
 from .bias import subsample_draws, usable_lambdas
-from .data import LabeledDataset, derived_seed, format_float
+from .data import LabeledDataset, check_draw_memory, derived_seed, format_float
 from .estimators import HistogramConfig, KernelConfig
 # unused here; perfbench's tracer wraps these names (ROADMAP item 5)
 from .estimators import histogram_mi, kernel_mi
@@ -357,8 +357,10 @@ def run_benchmark(
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     lambdas = usable_lambdas(DEFAULT_LAMBDAS, protocol.n_t)
-    if len({math.floor(lam * protocol.n_t) for lam in lambdas}) < 3:
+    sizes = [math.floor(lam * protocol.n_t) for lam in lambdas]
+    if len(set(sizes)) < 3:
         raise ValueError("lambda grid leaves fewer than 3 usable subsample sizes")
+    check_draw_memory(protocol.n_s, protocol.n_t, sizes, repeats)
 
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")

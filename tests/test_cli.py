@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -426,6 +427,40 @@ class TestEstimate:
         with pytest.raises(SystemExit) as exc:
             run_cli(["estimate", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestDrawMemory:
+    """A --repeats whose subsample indices cannot fit fails at once: no draw, matrix or probe."""
+
+    HUGE = 10**20
+
+    def _fails_at_once(self, argv, capsys, monkeypatch, need):
+        def never(*args, **kwargs):
+            raise AssertionError("started before the memory check")
+
+        for name in ("data._choice_batch", "cli.distance_matrix", "toybench._probe_candidate"):
+            monkeypatch.setattr(f"metricmi.{name}", never)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli([*argv, "--repeats", str(self.HUGE)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory: repeats = {self.HUGE}: ")
+        assert f" need {need} bytes, more than the " in err and "distance matrix" not in err
+        monkeypatch.undo()
+        assert run_cli([*argv, "--repeats", "3"]) == 0
+
+    def test_estimate(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        run_cli(["gen-toy", "--ns", "3", "--nd", "2", "--nt", "10", "-o", str(data)])
+        argv = ["estimate", "--input", str(data), "--bias-correct", "--lambdas", "0.3,0.5,1"]
+        self._fails_at_once(argv, capsys, monkeypatch, 8 * 3 * (self.HUGE * 8 + 10))
+
+    def test_benchmark(self, tmp_path, capsys, monkeypatch):
+        # sizes 2..9 of 10 trials, and all 10
+        argv = ["benchmark", "--ns", "3", "--nd", "2", "--nt", "10", "--datasets", "1",
+                "--no-prune", "--mc-samples", "100", "--threads", "1", "-o", str(tmp_path)]
+        self._fails_at_once(argv, capsys, monkeypatch, 8 * 3 * (self.HUGE * 44 + 10))
 
 
 class TestBenchmark:

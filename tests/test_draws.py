@@ -1,11 +1,11 @@
-"""Stratified draws are numpy's ``Generator.choice`` stream, drawn in one batch per fraction."""
+"""Stratified draws are numpy's ``Generator.choice`` stream, drawn in one batch per curve."""
 
 import math
 
 import numpy as np
 import pytest
 
-from metricmi import LabeledDataset, subsample_batch, subsample_indices
+from metricmi import LabeledDataset, derived_seed, subsample_batch, subsample_indices
 from metricmi import data
 
 # numpy's PCG64 multiplier; a state s steps to s * MULT + inc (mod 2**128)
@@ -88,21 +88,82 @@ def zero_first_word(seed):
 
 def test_rejected_value_is_redrawn_by_numpy(monkeypatch):
     # a 32-bit value of 0 is rejected by Lemire's method at every bound that
-    # is not a power of two; the draw holding it, and its neighbours in the
-    # same batch, must still be choice's own
+    # is not a power of two; the draw holding it, in a middle fraction, and its
+    # neighbours in the same batch, must still be choice's own
     assert zero_first_word(1).random_raw() == 0
     d = dataset(np.random.default_rng(4), 3, 14)
-    k = 6  # first bound n_t - k + 1 = 9
+    ks = [8, 6, 6, 6, 3]  # the zero lands on bound n_t - k + 1 = 9
     loops, real_loop = [], data._choice_loop
 
     def loop(*args):
-        loops.append(args)
+        loops.append((args[1], args[2].state))
         return real_loop(*args)
 
     monkeypatch.setattr(data, "_choice_loop", loop)
-    bitgens = [np.random.PCG64(11), zero_first_word(1), np.random.PCG64(12)]
-    want = [choice_draw(d, k, np.random.Generator(b))
-            for b in (np.random.PCG64(11), zero_first_word(1), np.random.PCG64(12))]
-    got = data._choice_batch(d, k, bitgens)
-    assert len(loops) == 1 and loops[0][2] is bitgens[1]
+    bitgens = [np.random.PCG64(11), np.random.PCG64(12), zero_first_word(1),
+               np.random.PCG64(13), np.random.PCG64(14)]
+    states = [(b.state["state"]["state"], b.state["state"]["inc"]) for b in bitgens]
+    want = [choice_draw(d, k, np.random.Generator(b)) for k, b in zip(ks, bitgens)]
+    got = data._choice_batch(d, ks, states)
+    assert len(loops) == 1 and loops[0] == (6, zero_first_word(1).state)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# seeds at the edges of SeedSequence's words: one word, two, three, five
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
+
+
+def test_lane_seeds_are_derived_seed():
+    # SeedSequence's hash in uint32 arithmetic, every multiply wrapping
+    rng = np.random.default_rng(28)
+    li = np.repeat(np.arange(4, dtype=np.uint64), 6)
+    ri = np.tile(np.array([0, 1, 7, 2**32 - 1, 2**32, 2**32 + 9], dtype=np.uint64), 4)
+    for seed in [*EDGE_SEEDS, *(int(s) for s in rng.integers(0, 2**63, 6))]:
+        want = [derived_seed(seed, int(a), int(b)) for a, b in zip(li, ri)]
+        got = data._derived_seeds(seed, li, ri)
+        assert got.dtype == np.uint32 and got.tolist() == want, seed
+
+
+def test_lane_states_are_pcg64_states():
+    rng = np.random.default_rng(29)
+    seeds = [*EDGE_SEEDS, *(int(s) for s in rng.integers(0, 2**32, 20)), 2**200 + 1]
+    for s, (state, inc) in zip(seeds, data._pcg64_states(*data._seed_words(seeds))):
+        assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}, s
+
+
+@pytest.mark.parametrize("spikes", [False, True], ids=["vectors", "spike-trains"])
+@pytest.mark.parametrize("n_s, n_t, sizes, repeats", [
+    (4, 12, [11, 6, 12, 6, 1, 9], 3),  # all points, duplicate sizes, k from 1 to n_t - 1
+    (1, 9, [2, 8, 9, 5], 4),  # one stimulus
+    (6, 20, [18, 2, 10, 20], 1),  # one repeat
+    (3, 25, [24, 20, 12, 3], 7),
+], ids=["grid", "one-stimulus", "one-repeat", "seven-repeats"])
+def test_curve_draws_are_numpy_choice(spikes, n_s, n_t, sizes, repeats):
+    rng = np.random.default_rng(n_s * n_t)
+    d = dataset(rng, n_s, n_t, spikes)
+    for seed in (0, 2**32, int(rng.integers(0, 2**63))):
+        draws = data.curve_subsamples(d, sizes, repeats, seed)
+        assert len(draws) == len(sizes)
+        for li, (k, group) in enumerate(zip(sizes, draws)):
+            if k == n_t:
+                assert len(group) == 1 and np.array_equal(group[0], np.arange(d.n_r))
+                continue
+            assert len(group) == repeats
+            for ri, idx in enumerate(group):
+                assert idx.dtype == np.intp
+                rng_ri = np.random.default_rng(derived_seed(seed, li, ri))
+                assert np.array_equal(idx, choice_draw(d, k, rng_ri))
+
+
+def test_tail_shuffle_rows_inside_a_multi_fraction_batch():
+    # k = 201 of 10001 trials is past the cutoff, 200 and 3 are not; at 3 lanes
+    # a bucket, the first holds both kinds
+    n_t = 10001
+    labels = np.repeat(np.arange(2), n_t)
+    d = LabeledDataset.from_vectors(np.zeros((labels.size, 1)), labels)
+    sizes = [3, 201, 200]
+    assert data._BUCKET_CELLS // d.n_r == 3
+    for li, (k, group) in enumerate(zip(sizes, data.curve_subsamples(d, sizes, 2, 5))):
+        for ri, idx in enumerate(group):
+            rng = np.random.default_rng(derived_seed(5, li, ri))
+            assert np.array_equal(idx, choice_draw(d, k, rng))

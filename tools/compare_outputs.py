@@ -21,7 +21,11 @@ subset of its own when the fractions lack 1, and a kernel curve reads every
 subset's first prefix at the width of the whole dataset; so the JSON that
 ``estimate --ksg --nk 3 --bias-correct --lambdas 0.4,0.6,0.8`` and ``estimate
 --nh 25 --bias-correct`` print on each vector-estimate input file at seeds 0-2
-is compared too.  Since every
+is compared too.  Since every op seeds its subsamples with 0 and SeedSequence
+hashes a seed of 2^32 or more as several words, the JSON that ``estimate
+--bias-correct --seed 4294967296`` and ``estimate --ksg --nk 3 --bias-correct
+--repeats 1 --seed 18446744073709551621`` print on the first vector-estimate
+input file at seed 0 is compared as well.  Since every
 toy-benchmark op has 10 stimuli and 2000 Monte-Carlo samples, the four outputs
 of one unpruned ``metricmi benchmark`` at 40 stimuli and the default 10 000
 samples are compared too; at 2 dimensions and 5 datasets its true MIs show a
@@ -29,7 +33,7 @@ last-bit change in how the log-mixture adds over stimuli.  Pruning screens
 candidates by closed-form bounds widened by a margin that grows as the
 sample count falls, so the four outputs of one pruned ``metricmi benchmark``
 at 50 samples and 2 threads, where a truth is noisier against that margin,
-are compared as well.  Every output's SHA-256 is compared (371 outputs in
+are compared as well.  Every output's SHA-256 is compared (373 outputs in
 all); the names that differ, or exist on one side only, are printed, and
 the exit status is 1 if there are any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
@@ -59,6 +63,11 @@ RAW_SEEDS = range(3)
 RAW_FLAGS = {
     "ksg-no-full": ("--ksg", "--nk", "3", "--bias-correct", "--lambdas", "0.4,0.6,0.8"),
     "nh25": ("--nh", "25", "--bias-correct"),
+}
+BIG_SEED_FLAGS = {
+    "seed-2^32": ("--bias-correct", "--seed", "4294967296"),
+    "ksg-seed-2^64+5": ("--ksg", "--nk", "3", "--bias-correct", "--repeats", "1",
+                        "--seed", "18446744073709551621"),
 }
 MATRICES = {
     "vp-q0.csv": ("--metric", "victor-purpura", "--q", "0"),
@@ -132,6 +141,10 @@ def digests(checkout: Path, workdir: Path) -> dict:
             for name, flags in RAW_FLAGS.items():
                 run(runner, f"raw/seed{seed}", Op(f"{key}-{name}", (
                     ("estimate", "--input", source, *flags),)))
+    runner, key, source = next(sources("vector-estimate", 0, "big-seeds"))
+    for name, flags in BIG_SEED_FLAGS.items():
+        run(runner, "big-seeds/seed0", Op(f"{key}-{name}", (
+            ("estimate", "--input", source, *flags),)))
     run(unchecked_runner(), "truth", Op("benchmark-ns40", (TRUTH,)))
     run(unchecked_runner(), "truth", Op("benchmark-mc50", (LOW_SAMPLES,)))
     return out
