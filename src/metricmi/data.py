@@ -9,6 +9,7 @@ seconds); the two variants never mix within a dataset.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import os
@@ -509,12 +510,16 @@ def _seed_states(entropy: np.ndarray, lengths, n_words: int) -> np.ndarray:
 
 
 def _derived_seeds(seed: int, li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-    """``derived_seed(seed, li[i], ri[i])`` of every lane i, as uint32; each li below 2**32."""
+    """``derived_seed(seed, li[i], ri[i])`` of every lane i, as uint32; li and ri uint64."""
     base = _seed_words([seed])[0]
-    entropy = np.empty((len(base) + 3, li.size), dtype=np.uint32)
+    long_li = li > _MASK32
+    entropy = np.empty((len(base) + 4, li.size), dtype=np.uint32)
     entropy[: len(base)] = base
-    entropy[len(base) :] = li, ri & _MASK32, ri >> 32  # a second word of ri where it has one
-    return _seed_states(entropy, len(base) + 2 + (ri > _MASK32), 1)[0]
+    entropy[len(base)] = li & _MASK32
+    # ri's words follow a second word of li where it has one, zeros after them
+    rest = np.stack([li >> 32, ri & _MASK32, ri >> 32, np.zeros_like(ri)])
+    entropy[len(base) + 1 :] = np.where(long_li, rest[:3], rest[1:])
+    return _seed_states(entropy, len(base) + 2 + long_li + (ri > _MASK32), 1)[0]
 
 
 def _pcg64_states(entropy: np.ndarray, lengths) -> list[tuple[int, int]]:
@@ -531,6 +536,13 @@ def _pcg64_states(entropy: np.ndarray, lengths) -> list[tuple[int, int]]:
         inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
         states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
     return states
+
+
+def _at_state(bitgen, state):
+    """``bitgen``, a PCG64, set to ``state``, a ``(state, inc)`` pair, with no half word held."""
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
 
 def _choice_batch(d: LabeledDataset, ks: list, states: list) -> list[np.ndarray]:
@@ -552,13 +564,7 @@ def _choice_batch(d: LabeledDataset, ks: list, states: list) -> list[np.ndarray]
         return [draw for at in range(0, len(ks), step)
                 for draw in _choice_batch(d, ks[at : at + step], states[at : at + step])]
     n_s, n_t = d.positions.shape
-    bitgen = np.random.PCG64(0)
-
-    def fresh(state):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
-                        "has_uint32": 0, "uinteger": 0}
-        return bitgen
-
+    fresh = functools.partial(_at_state, np.random.PCG64(0))
     tail = sum(n_t > 10000 and k > n_t // 50 for k in ks)  # the largest ks
     looped = [_choice_loop(d, k, fresh(state)) for k, state in zip(ks[:tail], states[:tail])]
     ks, states = ks[tail:], states[tail:]

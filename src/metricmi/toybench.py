@@ -27,6 +27,7 @@ from scipy.spatial.distance import cdist
 from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
 from .bias import subsample_draws, usable_lambdas
 from .data import LabeledDataset, check_draw_memory, derived_seed, format_float
+from .data import _at_state, _derived_seeds, _pcg64_states
 from .estimators import HistogramConfig, KernelConfig
 # unused here; perfbench's tracer wraps these names (ROADMAP item 5)
 from .estimators import histogram_mi, kernel_mi
@@ -51,6 +52,11 @@ _STALL_FACTOR = 200
 # a truth fell in a pruning bin outside the widened bounds 6 times in 180 000
 # probes of random models at 1-20 samples, at 9 never (README)
 _SCREEN_MARGIN = 9.0
+# pruning candidates are drawn and bounded this many at a time (fastest of
+# 32-256 on toy-benchmark), fewer where their distances or sources pass
+# _BLOCK_CELLS
+_PROBE_BLOCK = 64
+_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -76,14 +82,26 @@ class ToySpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
+def _toy_models(raw: np.ndarray, n_s: int, n_d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n_s, n_d) sources and (B,) sigma2 from the first raw words of B model streams.
+
+    ``uniform(lo, hi)`` is lo + (hi - lo) * (raw >> 11) * 2**-53 of the
+    stream's next raw word; the sources come first, then sigma2.
+    """
+    u = (raw >> 11) * 2.0**-53
+    return (u[:, :-1] - 0.5).reshape(-1, n_s, n_d), u[:, -1]
+
+
 def _draw_model(spec: ToySpec) -> tuple[np.ndarray, float]:
-    """The model stream of ``generate_toy``: (sources, sigma2), no points."""
-    rng_model = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    sources = rng_model.uniform(-0.5, 0.5, size=(spec.n_s, spec.n_d))
-    sigma2 = spec.sigma2
-    if sigma2 is None:
-        sigma2 = float(rng_model.uniform(0.0, 1.0))
-    return sources, sigma2
+    """The model stream of ``generate_toy``: (sources, sigma2), no points.
+
+    One stream is seeded by numpy's own SeedSequence: a fifth of the
+    vectorized hash's time on a single seed.
+    """
+    stream = np.random.PCG64(np.random.SeedSequence([spec.seed, 0]))
+    sources, sigma2 = _toy_models(stream.random_raw((1, spec.n_s * spec.n_d + 1)),
+                                  spec.n_s, spec.n_d)
+    return sources[0], float(sigma2[0]) if spec.sigma2 is None else spec.sigma2
 
 
 def generate_toy(spec: ToySpec) -> tuple[LabeledDataset, np.ndarray, float]:
@@ -178,15 +196,28 @@ def truth_bounds(sources, sigma2: float) -> tuple[float, float]:
     ``true_mi``.
     """
     sources = _checked_model(sources, sigma2)
-    if sigma2 < SIGMA2_DEGENERATE:
-        full = math.log2(sources.shape[0])
-        return full, full
-    sq = cdist(sources, sources, "sqeuclidean")
+    lo, hi = _bounds_block(sources[None], np.array([sigma2], dtype=np.float64))
+    return float(lo[0]), float(hi[0])
+
+
+def _bounds_block(sources: np.ndarray, sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``truth_bounds`` of every lane: (B,) lower and upper bounds of (B, n_s, n_d) sources."""
+    n_s = sources.shape[1]
+    degenerate = sigma2 < SIGMA2_DEGENERATE
+    sigma2 = np.where(degenerate, 1.0, sigma2)[:, None, None]
+    # dimensions added one at a time, as cdist's "sqeuclidean" adds them, so
+    # every lane's distances are bitwise cdist's
+    sq = np.zeros((len(sources), n_s, n_s))
+    for k in range(sources.shape[2]):
+        diff = sources[:, :, None, k] - sources[:, None, :, k]
+        sq += diff * diff
 
     def bound(scale):
-        return -float(np.mean(np.log(np.mean(np.exp(sq / -scale), axis=1)))) / _LN2
+        # means along the last, contiguous axis add each lane as a lone model's
+        return -np.log(np.exp(sq / -scale).mean(axis=2)).mean(axis=1) / _LN2
 
-    return bound(8.0 * sigma2), bound(2.0 * sigma2)
+    full = math.log2(n_s)
+    return tuple(np.where(degenerate, full, bound(c * sigma2)) for c in (8.0, 2.0))
 
 
 def chi_density(dist, n_d: int, sigma: float):
@@ -265,24 +296,24 @@ def _prune_bin(bits: float, log2ns: float) -> int:
     return math.floor(min(max(bits / log2ns * _PRUNE_BINS, 0.0), _PRUNE_BINS - 1))
 
 
-def _probe_candidate(protocol, mc_samples, seed, full, idx) -> tuple[int, float, float | None]:
-    """Candidate (cand_seed, sigma2, true_bits) for pruning attempt ``idx``.
+def _candidate_block(protocol: BenchmarkProtocol, seed: int, start: int, stop: int) -> list:
+    """(cand_seed, truth_seed, sources, sigma2, lower, upper) of attempts start..stop-1.
 
-    ``full`` flags the pruning bins that are full.  When every bin that the
-    candidate's truth bounds, widened by the screen's margin, can reach is
-    full, pruning must reject it: true_bits is None and no Monte Carlo runs.
+    Attempt idx draws the model of ``_candidate_spec(protocol, seed, idx)``
+    and its truth with seed ``derived_seed(seed, idx, 1)``.
     """
-    spec = _candidate_spec(protocol, seed, idx)
-    sources, sigma2 = _draw_model(spec)
-    if any(full):
-        lo, hi = truth_bounds(sources, sigma2)
-        margin = _SCREEN_MARGIN / math.sqrt(mc_samples)
-        log2ns = math.log2(protocol.n_s)
-        reach = range(_prune_bin(lo - margin, log2ns), _prune_bin(hi + margin, log2ns) + 1)
-        if all(full[b] for b in reach):
-            return spec.seed, sigma2, None
-    tm = true_mi(sources, sigma2, mc_samples, derived_seed(seed, idx, 1))
-    return spec.seed, sigma2, tm
+    idx = np.arange(start, stop, dtype=np.uint64)
+    purpose = np.repeat(np.arange(2, dtype=np.uint64), idx.size)
+    cand_seeds, truth_seeds = np.split(_derived_seeds(seed, np.tile(idx, 2), purpose), 2)
+    # a model stream is SeedSequence([cand_seed, 0]), two words: a derived seed is one
+    states = _pcg64_states(np.stack([cand_seeds, np.zeros_like(cand_seeds)]), 2)
+    bitgen = np.random.PCG64(0)
+    raw = np.array([_at_state(bitgen, state).random_raw(protocol.n_s * protocol.n_d + 1)
+                    for state in states])
+    sources, sigma2 = _toy_models(raw, protocol.n_s, protocol.n_d)
+    lo, hi = _bounds_block(sources, sigma2)
+    return list(zip(cand_seeds.tolist(), truth_seeds.tolist(), sources, sigma2.tolist(),
+                    lo.tolist(), hi.tolist()))
 
 
 def _evaluate_candidate(protocol, widths, lambdas, repeats, seed, idx) -> dict:
@@ -340,11 +371,15 @@ def run_benchmark(
     open bin beyond the widened bounds (``_SCREEN_MARGIN``), the screen
     changes only how many truths are computed: at most ``attempts``.
 
-    Probing runs in the calling process; up to ``max_workers`` processes
-    (default: all cores, never more than the accepted datasets) evaluate the
-    estimators.  The result is independent of ``max_workers``: every dataset
-    consumes only its own derived substreams and results are merged in
-    dataset order.
+    Probing runs in the calling process.  One vectorized pass draws the
+    seeds, models and bounds of 64 candidates (fewer at large n_s or n_d);
+    each is then decided in index order against the live bins, so blocks
+    change no decision.  A pruned run's last block draws up to 63 candidates
+    past its last attempt; an unpruned run draws none.  Up to
+    ``max_workers`` processes (default: all cores, never more than the
+    accepted datasets) evaluate the estimators.  The result is independent
+    of ``max_workers``: every dataset consumes only its own derived
+    substreams and results are merged in dataset order.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -365,9 +400,12 @@ def run_benchmark(
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
 
-    # candidates are probed one at a time in index order, each against its
-    # own substreams and the bins as the candidates before it left them
+    # candidates are drawn a block at a time, then probed one at a time in
+    # index order, each against the bins as the candidates before it left them
     log2ns = math.log2(protocol.n_s)
+    margin = _SCREEN_MARGIN / math.sqrt(mc_samples)
+    cells = protocol.n_s * max(protocol.n_s, protocol.n_d)  # a lane's distances or sources
+    lanes = max(1, min(_PROBE_BLOCK, _BLOCK_CELLS // cells))
     per_bin = protocol.dataset_count // _PRUNE_BINS
     bins = [0] * _PRUNE_BINS
     max_attempts = _ATTEMPT_FACTOR * protocol.dataset_count
@@ -375,13 +413,20 @@ def run_benchmark(
     give_up = min(max_attempts, stall_limit)  # attempt count at which probing stops
     accepted = []  # (attempt index, cand_seed, sigma2, true_bits)
     attempts = 0
+    block, first = [], 0  # the drawn candidates of attempts first, first + 1, ...
     while len(accepted) < protocol.dataset_count and attempts < give_up:
         idx = attempts
         attempts += 1
-        full = tuple(n >= per_bin for n in bins) if protocol.prune else ()
-        cand_seed, sigma2, tm = _probe_candidate(protocol, mc_samples, seed, full, idx)
-        if tm is None:  # screened
-            continue
+        if idx == first + len(block):
+            # an unpruned run accepts every candidate: it draws none it will not use
+            need = give_up - idx if protocol.prune else protocol.dataset_count - len(accepted)
+            first, block = idx, _candidate_block(protocol, seed, idx, idx + min(lanes, need))
+        cand_seed, truth_seed, sources, sigma2, lo, hi = block[idx - first]
+        if protocol.prune and any(n >= per_bin for n in bins):
+            reach = range(_prune_bin(lo - margin, log2ns), _prune_bin(hi + margin, log2ns) + 1)
+            if all(bins[b] >= per_bin for b in reach):
+                continue  # screened: pruning must reject it
+        tm = true_mi(sources, sigma2, mc_samples, truth_seed)
         if protocol.prune:
             which_bin = _prune_bin(tm, log2ns)
             if bins[which_bin] >= per_bin:

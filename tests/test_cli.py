@@ -438,7 +438,7 @@ class TestDrawMemory:
         def never(*args, **kwargs):
             raise AssertionError("started before the memory check")
 
-        for name in ("data._choice_batch", "cli.distance_matrix", "toybench._probe_candidate"):
+        for name in ("data._choice_batch", "cli.distance_matrix", "toybench._candidate_block"):
             monkeypatch.setattr(f"metricmi.{name}", never)
         capsys.readouterr()
         start = time.perf_counter()

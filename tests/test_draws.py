@@ -116,8 +116,8 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
 def test_lane_seeds_are_derived_seed():
     # SeedSequence's hash in uint32 arithmetic, every multiply wrapping
     rng = np.random.default_rng(28)
-    li = np.repeat(np.arange(4, dtype=np.uint64), 6)
-    ri = np.tile(np.array([0, 1, 7, 2**32 - 1, 2**32, 2**32 + 9], dtype=np.uint64), 4)
+    li = np.repeat(np.array([0, 3, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64), 6)
+    ri = np.tile(np.array([0, 1, 7, 2**32 - 1, 2**32, 2**32 + 9], dtype=np.uint64), 5)
     for seed in [*EDGE_SEEDS, *(int(s) for s in rng.integers(0, 2**63, 6))]:
         want = [derived_seed(seed, int(a), int(b)) for a, b in zip(li, ri)]
         got = data._derived_seeds(seed, li, ri)

@@ -1,6 +1,7 @@
 """Toy generator, ground-truth oracles, and the benchmark harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,62 @@ def scipy_true_mi(sources, sigma2, mc_samples, seed):
     return float(np.mean(picked - log_mixture)) / math.log(2.0)
 
 
+def rng_model(seed, n_s, n_d, sigma2=None):
+    """The model stream as numpy's Generator draws it: (sources, sigma2)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    sources = rng.uniform(-0.5, 0.5, size=(n_s, n_d))
+    return sources, float(rng.uniform(0.0, 1.0)) if sigma2 is None else sigma2
+
+
+def cdist_bounds(sources, sigma2):
+    """The closed-form truth bounds from one scipy cdist: the oracle of truth_bounds."""
+    if sigma2 < toybench.SIGMA2_DEGENERATE:
+        return math.log2(len(sources)), math.log2(len(sources))
+    sq = cdist(sources, sources, "sqeuclidean")
+
+    def bound(scale):
+        return -float(np.mean(np.log(np.mean(np.exp(sq / -scale), axis=1)))) / math.log(2.0)
+
+    return bound(8.0 * sigma2), bound(2.0 * sigma2)
+
+
+def per_candidate_probing(protocol, seed, mc_samples):
+    """(attempts, [(cand_seed, sigma2, true_bits)], truths) of pruning one candidate at a time.
+
+    Each candidate is drawn, bounded and decided on its own, from the oracles
+    above: the reference for run_benchmark's probing a block at a time.
+    """
+    log2ns = math.log2(protocol.n_s)
+    per_bin = protocol.dataset_count // 10
+    bins = [0] * 10
+    max_attempts = toybench._ATTEMPT_FACTOR * protocol.dataset_count
+    stall_limit = toybench._STALL_FACTOR * protocol.dataset_count
+    give_up = min(max_attempts, stall_limit)
+    margin = toybench._SCREEN_MARGIN / math.sqrt(mc_samples)
+    accepted, attempts, truths = [], 0, 0
+    while len(accepted) < protocol.dataset_count and attempts < give_up:
+        idx = attempts
+        attempts += 1
+        full = [n >= per_bin for n in bins]
+        cand_seed = derived_seed(seed, idx, 0)
+        sources, sigma2 = rng_model(cand_seed, protocol.n_s, protocol.n_d)
+        if any(full):
+            lo, hi = cdist_bounds(sources, sigma2)
+            reach = range(toybench._prune_bin(lo - margin, log2ns),
+                          toybench._prune_bin(hi + margin, log2ns) + 1)
+            if all(full[b] for b in reach):
+                continue
+        truths += 1
+        tm = true_mi(sources, sigma2, mc_samples, derived_seed(seed, idx, 1))
+        which_bin = toybench._prune_bin(tm, log2ns)
+        if bins[which_bin] >= per_bin:
+            continue
+        bins[which_bin] += 1
+        accepted.append((cand_seed, sigma2, tm))
+        give_up = min(max_attempts, attempts + stall_limit)
+    return attempts, accepted, truths
+
+
 def count_truths(monkeypatch) -> list:
     """Wrap toybench.true_mi; the returned list grows by one per call."""
     calls, real = [], toybench.true_mi
@@ -85,13 +142,14 @@ def count_truths(monkeypatch) -> list:
 def run_counting(protocol, screen: bool, **options):
     """run_benchmark and the list of its true_mi calls, with or without the screen.
 
-    Without it ``truth_bounds`` reads (-inf, inf): every bin is in reach, and
-    a candidate is screened only when all bins are full, which ends probing.
+    Without it every lane's bounds read (-inf, inf): every bin is in reach,
+    and a candidate is screened only when all bins are full, which ends probing.
     """
     with pytest.MonkeyPatch.context() as mp:
         calls = count_truths(mp)
         if not screen:
-            mp.setattr(toybench, "truth_bounds", lambda sources, sigma2: (-math.inf, math.inf))
+            mp.setattr(toybench, "_bounds_block", lambda sources, sigma2: (
+                np.full(len(sigma2), -math.inf), np.full(len(sigma2), math.inf)))
         return run_benchmark(protocol, **options), calls
 
 
@@ -281,6 +339,10 @@ class TestTruthBounds:
             truth_bounds(np.zeros((2, 2)), -0.1)
         with pytest.raises(ValueError, match="sigma2 must be finite"):
             truth_bounds(np.zeros((2, 2)), math.nan)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            truth_bounds(np.zeros((2, 2)), math.inf)
+        with pytest.raises(ValueError, match="sources must be finite"):
+            truth_bounds(np.array([[0.0, math.nan], [0.1, 0.2]]), 0.5)
         with pytest.raises(ValueError, match="sources must be finite"):
             truth_bounds(np.array([[0.0, math.inf], [0.1, 0.2]]), 0.5)
         with pytest.raises(ValueError, match=r"\(n_s, n_d\) array"):
@@ -291,6 +353,53 @@ class TestTruthBounds:
         sources = np.random.default_rng(3).uniform(-0.5, 0.5, (10, 3))
         for sigma2 in (0.0, 5e-11):
             assert truth_bounds(sources, sigma2) == (math.log2(10), math.log2(10))
+
+
+class TestCandidateBlock:
+    """Pruning candidates drawn and bounded a block at a time, lane for lane."""
+
+    @pytest.mark.parametrize("pinned", [None, 0.25])
+    def test_model_draw_matches_numpy_generator(self, pinned):
+        # seeds of one, two, three and five SeedSequence words
+        for seed in [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]:
+            sources, sigma2 = toybench._draw_model(ToySpec(7, 4, 2, sigma2=pinned, seed=seed))
+            want_sources, want_sigma2 = rng_model(seed, 7, 4, pinned)
+            assert np.array_equal(sources, want_sources) and sigma2 == want_sigma2, seed
+
+    def test_one_model_bounds_match_cdist(self):
+        # the distances add dimension by dimension, bitwise cdist's sum
+        rng = np.random.default_rng(29)
+        for n_d in range(1, 41):
+            for n_s in (2, 3, 10, 40):
+                for sigma2 in rng.uniform(0.0, 1.0, 8).tolist() + [1e-9, 5e-11]:
+                    sources = rng.uniform(-0.5, 0.5, (n_s, n_d))
+                    assert truth_bounds(sources, sigma2) == cdist_bounds(sources, sigma2), (
+                        n_s, n_d, sigma2)
+
+    @pytest.mark.parametrize("n_d", [1, 3, 8, 10, 40])
+    @pytest.mark.parametrize("n_s", [2, 10, 40])
+    def test_lanes_are_lone_candidates(self, n_s, n_d):
+        protocol = BenchmarkProtocol(n_s=n_s, n_d=n_d, n_t=10, dataset_count=10)
+        for seed, start in ((3, 0), (2**64 + 5, 2**32 - 10)):
+            block = toybench._candidate_block(protocol, seed, start, start + 20)
+            assert len(block) == 20
+            for idx, (cand_seed, truth_seed, sources, sigma2, lo, hi) in enumerate(block, start):
+                spec = toybench._candidate_spec(protocol, seed, idx)
+                assert cand_seed == spec.seed and truth_seed == derived_seed(seed, idx, 1)
+                for want_sources, want_sigma2 in (toybench._draw_model(spec),
+                                                  rng_model(spec.seed, n_s, n_d)):
+                    assert np.array_equal(sources, want_sources) and sigma2 == want_sigma2
+                assert (lo, hi) == truth_bounds(want_sources, want_sigma2)
+                assert (lo, hi) == cdist_bounds(want_sources, want_sigma2)
+
+    def test_degenerate_lanes_read_stimulus_entropy(self):
+        sources = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 10, 3))
+        sigma2 = np.array([0.3, 0.0, 5e-11, 1e-10, 0.9])
+        lo, hi = toybench._bounds_block(sources, sigma2)
+        for lane, s2 in enumerate(sigma2.tolist()):
+            want = (math.log2(10),) * 2 if s2 < toybench.SIGMA2_DEGENERATE else (
+                cdist_bounds(sources[lane], s2))
+            assert (lo[lane], hi[lane]) == want, s2
 
 
 class TestChiDensity:
@@ -416,6 +525,35 @@ class TestRunBenchmark:
         assert same_result(screened, res)
         assert len(screened_calls) < len(calls)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape, seed", [((10, 10, 10), 0), ((4, 2, 10), 3)],
+                             ids=["stalled", "filled"])
+    def test_blocks_decide_as_one_candidate_at_a_time(self, monkeypatch, shape, seed, workers):
+        # the stalled run stops at its give-up count, the filled one with
+        # drawn candidates of its last block left over; both as a reference
+        # that draws, bounds and decides one candidate at a time, and as
+        # blocks of one and of seven candidates; each candidate is screened
+        # against the live bins, so every run computes the reference's truths
+        protocol = BenchmarkProtocol(*shape, dataset_count=10)
+        options = dict(seed=seed, widths=(1.0,), repeats=2, mc_samples=500, max_workers=workers)
+        attempts, accepted, truths = per_candidate_probing(protocol, seed, 500)
+        results = []
+        for block in (toybench._PROBE_BLOCK, 1, 7):
+            monkeypatch.setattr(toybench, "_PROBE_BLOCK", block)
+            with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+                warnings.simplefilter("ignore")
+                calls = count_truths(mp)
+                results.append(run_benchmark(protocol, **options))
+            assert len(calls) == truths < attempts, block
+        res = results[0]
+        assert res.summary["attempts"] == attempts
+        assert [(r.seed, r.sigma2, r.true_bits) for r in res.records] == accepted
+        assert all(same_result(other, res) for other in results[1:])
+        if shape == (10, 10, 10):
+            assert res.summary["shortfall"] == 1
+        else:
+            assert res.summary["shortfall"] == 0 and attempts % toybench._PROBE_BLOCK != 0
+
     @pytest.mark.parametrize("n_s", [3, 10, 40])
     @pytest.mark.parametrize("mc_samples", [1, 10, 50, 500, 2000])
     def test_screen_changes_no_decision(self, mc_samples, n_s):
@@ -458,7 +596,7 @@ class TestRunBenchmark:
         def probe(*args):
             raise AssertionError("probed a candidate despite a bad option")
 
-        monkeypatch.setattr(toybench, "_probe_candidate", probe)
+        monkeypatch.setattr(toybench, "_candidate_block", probe)
         protocol = BenchmarkProtocol(n_s=10, n_d=10, n_t=20, dataset_count=10)
         with pytest.raises(ValueError, match=msg):
             run_benchmark(protocol, **{"mc_samples": 2000, "max_workers": 1, **options})
@@ -470,7 +608,7 @@ class TestRunBenchmark:
         def probe(*args):
             raise AssertionError("probed a candidate despite an unusable -o")
 
-        monkeypatch.setattr(toybench, "_probe_candidate", probe)
+        monkeypatch.setattr(toybench, "_candidate_block", probe)
         out = tmp_path / "taken"
         out.write_text("")
         code = main(["benchmark", "--ns", "3", "--nd", "2", "--nt", "10", "--datasets",

@@ -33,7 +33,12 @@ last-bit change in how the log-mixture adds over stimuli.  Pruning screens
 candidates by closed-form bounds widened by a margin that grows as the
 sample count falls, so the four outputs of one pruned ``metricmi benchmark``
 at 50 samples and 2 threads, where a truth is noisier against that margin,
-are compared as well.  Every output's SHA-256 is compared (373 outputs in
+are compared as well.  Candidates are drawn and bounded in blocks, whose
+squared distances must add dimensions in cdist's order and whose seeds must
+hash as SeedSequence does; so the four outputs of one pruned ``metricmi
+benchmark`` at 10 dimensions, where about 2000 candidates are screened after
+the last acceptance, and of one at base seed 2^64 + 5, three SeedSequence
+words, are compared too.  Every output's SHA-256 is compared (381 outputs in
 all); the names that differ, or exist on one side only, are printed, and
 the exit status is 1 if there are any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
@@ -78,6 +83,10 @@ TRUTH = ("benchmark", "--ns", "40", "--nd", "2", "--nt", "10", "--datasets", "5"
          "--no-prune", "--threads", "1", "-o", "{out}/bench")
 LOW_SAMPLES = ("benchmark", "--ns", "10", "--nd", "3", "--nt", "10", "--datasets", "10",
                "--mc-samples", "50", "--threads", "2", "-o", "{out}/bench")
+TEN_DIMS = ("benchmark", "--ns", "10", "--nd", "10", "--nt", "10", "--datasets", "10",
+            "--threads", "1", "-o", "{out}/bench")
+BIG_SEED = ("benchmark", "--ns", "10", "--nd", "3", "--nt", "10", "--datasets", "10",
+            "--threads", "1", "--seed", "18446744073709551621", "-o", "{out}/bench")
 
 
 def digests(checkout: Path, workdir: Path) -> dict:
@@ -147,6 +156,8 @@ def digests(checkout: Path, workdir: Path) -> dict:
             ("estimate", "--input", source, *flags),)))
     run(unchecked_runner(), "truth", Op("benchmark-ns40", (TRUTH,)))
     run(unchecked_runner(), "truth", Op("benchmark-mc50", (LOW_SAMPLES,)))
+    run(unchecked_runner(), "truth", Op("benchmark-nd10", (TEN_DIMS,)))
+    run(unchecked_runner(), "truth", Op("benchmark-seed-2^64+5", (BIG_SEED,)))
     return out
 
 
