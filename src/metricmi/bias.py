@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import LabeledDataset, curve_subsamples
 from .data import subsample_indices  # unused; perfbench's tracer wraps it (ROADMAP item 5)
-from .estimators import KernelConfig, kernel_bits_from_counts
+from .estimators import KernelConfig, _mean, kernel_bits_from_counts
 from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
 from .metrics import DistanceMatrix
 
@@ -92,7 +92,7 @@ def subsample_draws(
             raise ValueError(f"fraction {lam} leaves {n_t_sub} trials per stimulus; "
                              f"{config!r} needs at least {fewest}")
         sizes.append(n_t_sub)
-    return list(zip(sizes, curve_subsamples(d, sizes, repeats, seed)))
+    return list(zip(sizes, curve_subsamples(d, sizes, repeats, [seed])[0]))
 
 
 def subsample_curve(
@@ -118,7 +118,7 @@ def subsample_curve(
     else:
         bits = iter(config.subset_bits(d, dm, subsets))
     return [
-        (n_t_sub, float(np.mean(np.asarray([next(bits) for _ in group]))))
+        (n_t_sub, float(_mean(np.asarray([next(bits) for _ in group]))))
         for n_t_sub, group in draws
     ]
 

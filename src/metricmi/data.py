@@ -381,15 +381,16 @@ def memory_limit() -> int:
     return min(limit for limit in limits if limit != resource.RLIM_INFINITY)
 
 
-def check_draw_memory(n_s: int, n_t: int, sizes, repeats: int) -> None:
-    """Raise MemoryError, before drawing, if a curve's subsample indices would not fit.
+def check_draw_memory(n_s: int, n_t: int, sizes, repeats: int, curves: int) -> None:
+    """Raise MemoryError, before drawing, if ``curves`` curves' subsample indices would not fit.
 
-    They take 8 bytes a trial: ``repeats`` times n_s * k for each k of
-    ``sizes`` below n_t, and n_s * n_t once for a k of n_t.
+    A curve's indices take 8 bytes a trial: ``repeats`` times n_s * k for
+    each k of ``sizes`` below n_t, and n_s * n_t once for a k of n_t.
     """
-    need = 8 * n_s * sum(k if k == n_t else repeats * k for k in sizes)
+    need = curves * 8 * n_s * sum(k if k == n_t else repeats * k for k in sizes)
     if need > (limit := memory_limit()):
-        raise MemoryError(f"repeats = {repeats}: the subsample indices of one curve need "
+        what = "one curve" if curves == 1 else f"{curves} curves"
+        raise MemoryError(f"repeats = {repeats}: the subsample indices of {what} need "
                           f"{need} bytes, more than the {limit} bytes this process can use")
 
 
@@ -426,26 +427,38 @@ def subsample_batch(d: LabeledDataset, lam: float, seeds) -> list[np.ndarray]:
     return _choice_batch(d, [k] * len(seeds), _pcg64_states(*_seed_words(seeds)))
 
 
-def curve_subsamples(d: LabeledDataset, sizes, repeats: int, seed: int) -> list[list[np.ndarray]]:
-    """A curve's stratified subsamples: the draws of each trial count k of ``sizes``.
+def curve_subsamples(d: LabeledDataset, sizes, repeats: int, seeds) -> list[list[list]]:
+    """One curve's stratified subsamples per seed: the draws of each trial count k of ``sizes``.
 
-    A k below n_t gets ``repeats`` draws; draw ri of ``sizes[li]`` is
-    ``subsample_indices`` at k trials per stimulus and seed
-    ``derived_seed(seed, li, ri)``.  A k of n_t is the whole dataset, once.
-    ``check_draw_memory`` runs first.  All seeds and PCG64 states come from
-    one vectorized pass of SeedSequence's hash, and one ``_choice_batch``
-    draws every fraction.
+    A k below n_t gets ``repeats`` draws; draw ri of ``sizes[li]`` in the
+    curve of seed s is ``subsample_indices`` at k trials per stimulus and
+    seed ``derived_seed(s, li, ri)``.  A k of n_t is the whole dataset, once.
+    ``check_draw_memory`` of all the curves runs first.  Each curve's seeds,
+    then every PCG64 state, come from vectorized passes of SeedSequence's
+    hash, and one ``_choice_batch`` draws every fraction of every curve; the
+    curves of datasets of one design can share a batch (``pass_curves``
+    says how many should).  ``subsample_draws`` draws one curve, the batch
+    of one seed.
     """
-    check_draw_memory(d.n_s, d.n_t, sizes, repeats)
+    seeds = list(seeds)
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seed must be a nonnegative integer")
+    check_draw_memory(d.n_s, d.n_t, sizes, repeats, len(seeds))
     order = sorted((li for li, k in enumerate(sizes) if k < d.n_t), key=lambda li: -sizes[li])
     li = np.repeat(np.array(order, dtype=np.uint64), repeats)
     ri = np.tile(np.arange(repeats, dtype=np.uint64), len(order))
-    states = _pcg64_states(_derived_seeds(seed, li, ri)[None, :], 1)
-    draws = _choice_batch(d, [sizes[i] for i in order for _ in range(repeats)], states)
-    out = [[np.arange(d.n_r, dtype=np.intp)] for _ in sizes]
+    # lanes by fraction, largest k first, then by curve and repeat, so ks do not increase
+    lanes = np.array([_derived_seeds(seed, li, ri) for seed in seeds], dtype=np.uint32)
+    lanes = lanes.reshape(len(seeds), len(order), repeats)
+    states = _pcg64_states(lanes.transpose(1, 0, 2).reshape(1, -1), 1)
+    ks = [sizes[i] for i in order for _ in range(len(seeds) * repeats)]
+    draws = _choice_batch(d, ks, states)
+    curves = [[[np.arange(d.n_r, dtype=np.intp)] for _ in sizes] for _ in seeds]
     for at, i in enumerate(order):
-        out[i] = draws[at * repeats : (at + 1) * repeats]
-    return out
+        for j, curve in enumerate(curves):
+            start = (at * len(seeds) + j) * repeats
+            curve[i] = draws[start : start + repeats]
+    return curves
 
 
 # numpy's SeedSequence hash on uint32 words (bit_generator.pyx) and PCG64 multiplier
@@ -454,6 +467,7 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _BUCKET_CELLS = 2**16  # at most this many (draw, point) cells are drawn together
+_PASS_CELLS = _BUCKET_CELLS // 4  # the curves of one draw pass fill at most this many
 
 
 def _seed_words(seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -543,6 +557,20 @@ def _at_state(bitgen, state):
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
                     "has_uint32": 0, "uinteger": 0}
     return bitgen
+
+
+def pass_curves(n_s: int, n_t: int, sizes, repeats: int) -> int:
+    """How many curves of this design one ``curve_subsamples`` call should draw, at least one.
+
+    Their draws fill at most ``_PASS_CELLS`` (draw, point) cells.
+    ``_choice_batch``'s tables take about 25 bytes a cell, so a pass holds
+    about 400 KB at most, or one curve: less than one curve's
+    ``bias_corrected_mi`` allocates at the toy benchmark's protocol (~570
+    KB), so that drawing curves together does not raise a process's peak
+    memory.
+    """
+    cells = n_s * n_t * repeats * sum(k < n_t for k in sizes)
+    return max(1, _PASS_CELLS // cells)
 
 
 def _choice_batch(d: LabeledDataset, ks: list, states: list) -> list[np.ndarray]:

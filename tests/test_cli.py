@@ -457,10 +457,10 @@ class TestDrawMemory:
         self._fails_at_once(argv, capsys, monkeypatch, 8 * 3 * (self.HUGE * 8 + 10))
 
     def test_benchmark(self, tmp_path, capsys, monkeypatch):
-        # sizes 2..9 of 10 trials, and all 10
+        # sizes 2..9 of 10 trials, and all 10; a dataset's kernel and histogram curves
         argv = ["benchmark", "--ns", "3", "--nd", "2", "--nt", "10", "--datasets", "1",
                 "--no-prune", "--mc-samples", "100", "--threads", "1", "-o", str(tmp_path)]
-        self._fails_at_once(argv, capsys, monkeypatch, 8 * 3 * (self.HUGE * 44 + 10))
+        self._fails_at_once(argv, capsys, monkeypatch, 2 * 8 * 3 * (self.HUGE * 44 + 10))
 
 
 class TestBenchmark:

@@ -142,7 +142,7 @@ def test_curve_draws_are_numpy_choice(spikes, n_s, n_t, sizes, repeats):
     rng = np.random.default_rng(n_s * n_t)
     d = dataset(rng, n_s, n_t, spikes)
     for seed in (0, 2**32, int(rng.integers(0, 2**63))):
-        draws = data.curve_subsamples(d, sizes, repeats, seed)
+        [draws] = data.curve_subsamples(d, sizes, repeats, [seed])
         assert len(draws) == len(sizes)
         for li, (k, group) in enumerate(zip(sizes, draws)):
             if k == n_t:
@@ -163,7 +163,64 @@ def test_tail_shuffle_rows_inside_a_multi_fraction_batch():
     d = LabeledDataset.from_vectors(np.zeros((labels.size, 1)), labels)
     sizes = [3, 201, 200]
     assert data._BUCKET_CELLS // d.n_r == 3
-    for li, (k, group) in enumerate(zip(sizes, data.curve_subsamples(d, sizes, 2, 5))):
+    for li, (k, group) in enumerate(zip(sizes, data.curve_subsamples(d, sizes, 2, [5])[0])):
         for ri, idx in enumerate(group):
             rng = np.random.default_rng(derived_seed(5, li, ri))
             assert np.array_equal(idx, choice_draw(d, k, rng))
+
+
+def same_curves(a, b) -> bool:
+    return len(a) == len(b) and all(
+        len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n_s, n_t, sizes, repeats", [
+    (10, 20, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], 5),  # the toy benchmark's grid, and all points
+    (4, 12, [11, 6, 12, 6, 1, 9], 3),  # duplicate sizes, k of n_t inside the grid
+    (6, 20, [18, 2, 10, 20], 1),  # one repeat
+    (3, 9, [9, 9, 9], 4),  # every k is n_t: nothing to draw
+], ids=["toy-grid", "grid", "one-repeat", "all-points"])
+def test_many_seed_curves_are_one_seed_curves(n_s, n_t, sizes, repeats):
+    # one-word seeds mixed with seeds of two and three words, and a repeated seed
+    rng = np.random.default_rng(n_s + n_t)
+    d = dataset(rng, n_s, n_t)
+    seeds = [3, 2**32, 0, 2**64 + 5, 3, int(rng.integers(0, 2**32)), 2**32 - 1]
+    curves = data.curve_subsamples(d, sizes, repeats, seeds)
+    assert len(curves) == len(seeds)
+    for seed, curve in zip(seeds, curves):
+        assert same_curves(curve, data.curve_subsamples(d, sizes, repeats, [seed])[0]), seed
+    assert same_curves(curves[0], curves[4])
+    assert data.curve_subsamples(d, sizes, repeats, []) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        data.curve_subsamples(d, sizes, repeats, [1, -1])
+
+
+def test_many_seed_batch_crosses_a_bucket():
+    # 24 curves of 9 draws at 400 points a draw, in buckets of 163 draws: the
+    # first bucket ends among the draws of k = 2, 72 for each fraction
+    d = dataset(np.random.default_rng(30), 20, 20)
+    sizes, repeats = [19, 10, 2], 3
+    seeds = [2**64 + 5, 1, 2**32, 8] * 6
+    per_fraction = len(seeds) * repeats
+    assert 2 * per_fraction < data._BUCKET_CELLS // d.n_r < 3 * per_fraction
+    curves = data.curve_subsamples(d, sizes, repeats, seeds)
+    for seed, curve in zip(seeds, curves):
+        for li, (k, group) in enumerate(zip(sizes, curve)):
+            for ri, idx in enumerate(group):
+                rng = np.random.default_rng(derived_seed(seed, li, ri))
+                assert np.array_equal(idx, choice_draw(d, k, rng))
+
+
+def test_memory_check_covers_every_curve_of_a_batch(monkeypatch):
+    # sizes 2 and 5 of 6 trials at 3 repeats, and all 6: 8 * 3 * 27 bytes a curve
+    d = dataset(np.random.default_rng(32), 3, 6)
+    sizes, repeats = [2, 5, 6], 3
+    monkeypatch.setattr(data, "memory_limit", lambda: 2 * 8 * 3 * 27)
+    assert len(data.curve_subsamples(d, sizes, repeats, [1, 2])) == 2
+    monkeypatch.setattr(data, "_choice_batch", None)  # nothing is drawn
+    with pytest.raises(MemoryError, match="of 3 curves need 1944 bytes, more than the 1296"):
+        data.curve_subsamples(d, sizes, repeats, [1, 2, 3])
+    monkeypatch.setattr(data, "memory_limit", lambda: 8 * 3 * 27 - 1)
+    with pytest.raises(MemoryError, match="repeats = 3: the subsample indices of one curve need 648"):
+        data.curve_subsamples(d, sizes, repeats, [1])

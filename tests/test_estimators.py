@@ -27,7 +27,7 @@ from metricmi import (
     ksg_mi,
     subsample_indices,
 )
-from metricmi.estimators import NeighborTable, _count_to_kth, bin_ids
+from metricmi.estimators import NeighborTable, _count_to_kth, _mean, bin_ids
 
 mpmath.mp.dps = 30
 
@@ -710,3 +710,19 @@ class TestFewestTrials:
                 accepted.append(True)
         fewest = config.fewest_trials(ds.n_s, ds.n_t)
         assert accepted == [k >= fewest for k in range(1, ds.n_t + 1)]
+
+
+def test_mean_is_numpy_mean_bitwise():
+    # random lengths and scales, and the lengths the benchmarks average: the
+    # 5 or 10 repeats of a curve's size, the n_s * k points of a toy subsample
+    # (10 stimuli, k of 2..20) and the 600 points of a vector estimate
+    rng = np.random.default_rng(31)
+    lengths = [*rng.integers(1, 701, 3000), 5, 10, *range(20, 201, 20), 600]
+    for n in lengths:
+        for a in (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4),
+                  np.log2(rng.integers(1, 21, n) / 20)):
+            got = _mean(a)
+            assert type(got) is np.float64
+            assert got.tobytes() == np.mean(a).tobytes(), n
+    with_inf = np.array([0.5, -np.inf, 1.0])
+    assert _mean(with_inf) == np.mean(with_inf) == -np.inf

@@ -27,9 +27,10 @@ from metricmi import (
     true_mi,
     truth_bounds,
 )
-from metricmi import toybench
-from metricmi.bias import usable_lambdas
+from metricmi import data, toybench
+from metricmi.bias import subsample_draws, usable_lambdas
 from metricmi.cli import main
+from metricmi.estimators import bin_ids
 from conftest import same_dataset
 
 
@@ -571,13 +572,98 @@ class TestRunBenchmark:
     def test_raw_values_are_the_plain_estimates(self):
         # each raw value is its curve's point at n_t: the estimator on all points
         protocol = BenchmarkProtocol(n_s=4, n_d=2, n_t=12, dataset_count=10)
-        lambdas = usable_lambdas(DEFAULT_LAMBDAS, protocol.n_t)
-        out = toybench._evaluate_candidate(protocol, toybench.DEFAULT_WIDTHS, lambdas, 2, 5, 3)
-        ds, _, _ = generate_toy(toybench._candidate_spec(protocol, 5, 3))
-        dm = distance_matrix(ds, MetricSpec.euclidean())
-        assert out["kernel_raw_bits"] == kernel_mi(ds, dm, KernelConfig(n_h=12)).bits
-        assert out["hist_raw_bits"] == [histogram_mi(ds, HistogramConfig(width=w)).bits
-                                        for w in toybench.DEFAULT_WIDTHS]
+        sizes = [math.floor(lam * 12) for lam in usable_lambdas(DEFAULT_LAMBDAS, 12)]
+        group = toybench._evaluate_group(protocol, toybench.DEFAULT_WIDTHS, sizes, 2, 5, [3, 8])
+        assert len(group) == 2
+        for idx, out in zip((3, 8), group):
+            ds, _, _ = generate_toy(toybench._candidate_spec(protocol, 5, idx))
+            dm = distance_matrix(ds, MetricSpec.euclidean())
+            assert out["kernel_raw_bits"] == kernel_mi(ds, dm, KernelConfig(n_h=12)).bits
+            assert out["hist_raw_bits"] == [histogram_mi(ds, HistogramConfig(width=w)).bits
+                                            for w in toybench.DEFAULT_WIDTHS]
+
+    def test_widths_of_one_partition_share_a_curve(self, monkeypatch):
+        # widths 3, 4 and 10 put these points in the same bins, 0.25 and 0.5
+        # in bins of their own; every width reads what its own curve would give
+        protocol = BenchmarkProtocol(n_s=10, n_d=3, n_t=20, dataset_count=10)
+        sizes = [math.floor(lam * 20) for lam in usable_lambdas(DEFAULT_LAMBDAS, 20)]
+        widths = (3.0, 0.25, 4.0, 0.5, 10.0)
+        ds, _, _ = generate_toy(toybench._candidate_spec(protocol, 0, 4))
+        partitions = [bin_ids(ds.vectors, HistogramConfig(w)).tolist() for w in widths]
+        assert partitions[0] == partitions[2] == partitions[4]
+        assert len({str(ids) for ids in partitions}) == 3
+        curves, real = [], toybench.bias_corrected_mi
+
+        def counting(d, dm, config, draws):
+            if isinstance(config, HistogramConfig):
+                curves.append(config.width)
+            return real(d, dm, config, draws)
+
+        monkeypatch.setattr(toybench, "bias_corrected_mi", counting)
+        [out] = toybench._evaluate_group(protocol, widths, sizes, 2, 0, [4])
+        assert curves == [3.0, 0.25, 0.5]
+        draws = subsample_draws(ds, usable_lambdas(DEFAULT_LAMBDAS, 20), 2, derived_seed(0, 4, 3))
+        for w, bits, raw in zip(widths, out["hist_bits"], out["hist_raw_bits"]):
+            fit, _, own_raw = real(ds, None, HistogramConfig(w), draws)
+            assert (bits, raw) == (fit.intercept_bits, own_raw), w
+
+    @pytest.mark.parametrize("prune, datasets", [(True, 10), (False, 7)],
+                             ids=["pruned", "no-prune"])
+    def test_groups_change_no_result(self, monkeypatch, prune, datasets):
+        # groups of one dataset each; of at most 3, which 10 or 7 datasets do
+        # not fill evenly; and as large as the worker count allows: 10 or 7,
+        # 5 + 5 or 4 + 3, 4 + 3 + 3 or 3 + 2 + 2
+        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=datasets, prune=prune)
+        options = dict(seed=2, widths=(0.5, 1.0, 2.0), repeats=2, mc_samples=300)
+        draws = 2 * 2 * 8 * 30  # (draw, point) cells of a dataset's two curves
+        results = []
+        for cap in (1, 3, datasets):
+            monkeypatch.setattr(data, "_PASS_CELLS", cap * draws)
+            results += [run_benchmark(protocol, max_workers=w, **options) for w in (1, 2, 3)]
+        assert len(results[0].records) == datasets
+        assert all(same_result(other, results[0]) for other in results[1:])
+
+    @pytest.mark.parametrize("cap, workers, sizes", [
+        (3, 1, [3, 3, 2, 2]), (3, 2, [3, 3, 2, 2]), (3, 3, [2, 2, 2, 2, 1, 1]),
+        (3, 4, [3, 3, 2, 2]), (3, 5, [2, 2, 2, 2, 2]), (10, 3, [4, 3, 3]), (1, 2, [1] * 10),
+    ])
+    def test_groups_bounded_by_the_pass_and_the_workers(self, monkeypatch, cap, workers, sizes):
+        # the fewest groups within the cap, a whole number per worker, split evenly
+        groups, real = [], toybench._evaluate_group
+
+        def recording(*args):
+            groups.append(list(args[-1]))
+            return real(*args)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(toybench, "_evaluate_group", recording)
+        monkeypatch.setattr(toybench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(data, "_PASS_CELLS", cap * 2 * 2 * 8 * 30)
+        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=10)
+        res = run_benchmark(protocol, seed=1, widths=(1.0,), repeats=2, mc_samples=300,
+                            max_workers=workers)
+        assert [len(g) for g in groups] == sizes
+        assert [derived_seed(1, idx, 0) for g in groups for idx in g] == [
+            r.seed for r in res.records]
+
+    def test_toy_protocol_draws_a_dataset_a_pass(self):
+        # a toy curve fills 9000 (draw, point) cells, two more than 2**14, so
+        # a group holds the one dataset it must; a curve of 480 cells, 34
+        sizes = [math.floor(lam * 20) for lam in usable_lambdas(DEFAULT_LAMBDAS, 20)]
+        assert data.pass_curves(10, 20, sizes, 5) == 1
+        assert data.pass_curves(3, 10, [2, 3, 4, 5, 6, 7, 8, 9, 10], 2) == 34
 
     def test_prune_needs_divisible_count(self):
         with pytest.raises(ValueError):

@@ -38,9 +38,14 @@ squared distances must add dimensions in cdist's order and whose seeds must
 hash as SeedSequence does; so the four outputs of one pruned ``metricmi
 benchmark`` at 10 dimensions, where about 2000 candidates are screened after
 the last acceptance, and of one at base seed 2^64 + 5, three SeedSequence
-words, are compared too.  Every output's SHA-256 is compared (381 outputs in
-all); the names that differ, or exist on one side only, are printed, and
-the exit status is 1 if there are any.  A
+words, are compared too.  Accepted datasets are evaluated in groups, and
+histogram widths that put the points in the same bins share one curve; so
+the four outputs of one pruned ``metricmi benchmark`` at 3 threads, whose 10
+datasets go as groups of 4, 3 and 3, over widths 0.25, 3, 4 and 10, where
+some widths share bins and some do not, are compared as well.  Every
+output's SHA-256 is compared (385 outputs in all); the names that differ, or
+exist on one side only, are printed, and the exit status is 1 if there are
+any.  A
 changed ``.csv`` output is also sized: how many of its comma-separated entries
 differ, out of how many, and the largest relative difference among them.
 
@@ -87,6 +92,9 @@ TEN_DIMS = ("benchmark", "--ns", "10", "--nd", "10", "--nt", "10", "--datasets",
             "--threads", "1", "-o", "{out}/bench")
 BIG_SEED = ("benchmark", "--ns", "10", "--nd", "3", "--nt", "10", "--datasets", "10",
             "--threads", "1", "--seed", "18446744073709551621", "-o", "{out}/bench")
+GROUPS = ("benchmark", "--ns", "10", "--nd", "3", "--nt", "10", "--datasets", "10",
+          "--mc-samples", "2000", "--repeats", "2", "--widths", "0.25,3,4,10",
+          "--threads", "3", "--seed", "3", "-o", "{out}/bench")
 
 
 def digests(checkout: Path, workdir: Path) -> dict:
@@ -158,6 +166,7 @@ def digests(checkout: Path, workdir: Path) -> dict:
     run(unchecked_runner(), "truth", Op("benchmark-mc50", (LOW_SAMPLES,)))
     run(unchecked_runner(), "truth", Op("benchmark-nd10", (TEN_DIMS,)))
     run(unchecked_runner(), "truth", Op("benchmark-seed-2^64+5", (BIG_SEED,)))
+    run(unchecked_runner(), "truth", Op("benchmark-groups", (GROUPS,)))
     return out
 
 
