@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, curve_subsamples
-from .data import subsample_indices  # unused; perfbench's tracer wraps it (ROADMAP item 5)
+from .data import subsample_indices  # unused; perfbench's tracer wraps it (ROADMAP item 13)
 from .estimators import KernelConfig, _mean, kernel_bits_from_counts
-from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 5)
+from .estimators import ksg_mi  # unused; perfbench's tracer wraps it (ROADMAP item 13)
 from .metrics import DistanceMatrix
 
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -400,31 +400,18 @@ def subsample_indices(d: LabeledDataset, lam: float, seed: int) -> np.ndarray:
     Selection is uniform without replacement within each stimulus: the picks
     of ``default_rng(seed).choice(row, k, replace=False)`` from each row of
     ``d.positions`` in turn, returned in ascending order so the original
-    point order (and hence all tie-breaking) is preserved.  ``lam == 1``
-    selects everything without consuming randomness.  The draw of
-    ``subsample_batch`` for one seed.
-    """
-    return subsample_batch(d, lam, [seed])[0]
-
-
-def subsample_batch(d: LabeledDataset, lam: float, seeds) -> list[np.ndarray]:
-    """``[subsample_indices(d, lam, seed) for seed in seeds]``, drawn in one batch.
-
-    The batch of ``curve_subsamples``, on one fraction and the seeds given.
+    point order (and hence all tie-breaking) is preserved.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"subsample fraction must be in (0, 1], got {lam}")
-    seeds = list(seeds)
-    if any(seed < 0 for seed in seeds):
+    if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     k = math.floor(lam * d.n_t)
     if k < 1:
         raise ValueError(
             f"fraction {lam} leaves no trials (floor({lam} * {d.n_t}) = 0)"
         )
-    if k == d.n_t:
-        return [np.arange(d.n_r, dtype=np.intp) for _ in seeds]
-    return _choice_batch(d, [k] * len(seeds), _pcg64_states(*_seed_words(seeds)))
+    return _choice_loop(d, k, np.random.PCG64(seed))
 
 
 def curve_subsamples(d: LabeledDataset, sizes, repeats: int, seeds) -> list[list[list]]:
@@ -435,10 +422,9 @@ def curve_subsamples(d: LabeledDataset, sizes, repeats: int, seeds) -> list[list
     seed ``derived_seed(s, li, ri)``.  A k of n_t is the whole dataset, once.
     ``check_draw_memory`` of all the curves runs first.  Each curve's seeds,
     then every PCG64 state, come from vectorized passes of SeedSequence's
-    hash, and one ``_choice_batch`` draws every fraction of every curve; the
-    curves of datasets of one design can share a batch (``pass_curves``
-    says how many should).  ``subsample_draws`` draws one curve, the batch
-    of one seed.
+    hash, and one ``_choice_batch`` draws every fraction of every curve.
+    ``subsample_draws`` draws one curve, the benchmark a dataset's kernel
+    and histogram curves.
     """
     seeds = list(seeds)
     if any(seed < 0 for seed in seeds):
@@ -467,19 +453,6 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _BUCKET_CELLS = 2**16  # at most this many (draw, point) cells are drawn together
-_PASS_CELLS = _BUCKET_CELLS // 4  # the curves of one draw pass fill at most this many
-
-
-def _seed_words(seeds) -> tuple[np.ndarray, np.ndarray]:
-    # the SeedSequence words of each int seed, least significant first, as the
-    # columns of an array zero-padded past each seed's own; and their counts
-    words = [[seed >> at & _MASK32 for at in range(0, max(seed.bit_length(), 1), 32)]
-             for seed in map(operator.index, seeds)]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    entropy = np.zeros((lengths.max(initial=1), len(words)), dtype=np.uint32)
-    for lane, w in enumerate(words):
-        entropy[: len(w), lane] = w
-    return entropy, lengths
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -525,10 +498,12 @@ def _seed_states(entropy: np.ndarray, lengths, n_words: int) -> np.ndarray:
 
 def _derived_seeds(seed: int, li: np.ndarray, ri: np.ndarray) -> np.ndarray:
     """``derived_seed(seed, li[i], ri[i])`` of every lane i, as uint32; li and ri uint64."""
-    base = _seed_words([seed])[0]
+    seed = operator.index(seed)
+    # SeedSequence's words of the seed, least significant first
+    base = [seed >> at & _MASK32 for at in range(0, max(seed.bit_length(), 1), 32)]
     long_li = li > _MASK32
     entropy = np.empty((len(base) + 4, li.size), dtype=np.uint32)
-    entropy[: len(base)] = base
+    entropy[: len(base)] = np.array(base)[:, None]
     entropy[len(base)] = li & _MASK32
     # ri's words follow a second word of li where it has one, zeros after them
     rest = np.stack([li >> 32, ri & _MASK32, ri >> 32, np.zeros_like(ri)])
@@ -557,20 +532,6 @@ def _at_state(bitgen, state):
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
                     "has_uint32": 0, "uinteger": 0}
     return bitgen
-
-
-def pass_curves(n_s: int, n_t: int, sizes, repeats: int) -> int:
-    """How many curves of this design one ``curve_subsamples`` call should draw, at least one.
-
-    Their draws fill at most ``_PASS_CELLS`` (draw, point) cells.
-    ``_choice_batch``'s tables take about 25 bytes a cell, so a pass holds
-    about 400 KB at most, or one curve: less than one curve's
-    ``bias_corrected_mi`` allocates at the toy benchmark's protocol (~570
-    KB), so that drawing curves together does not raise a process's peak
-    memory.
-    """
-    cells = n_s * n_t * repeats * sum(k < n_t for k in sizes)
-    return max(1, _PASS_CELLS // cells)
 
 
 def _choice_batch(d: LabeledDataset, ks: list, states: list) -> list[np.ndarray]:

@@ -27,9 +27,9 @@ from scipy.spatial.distance import cdist
 from .bias import DEFAULT_LAMBDAS, DEFAULT_REPEATS, bias_corrected_mi
 from .bias import usable_lambdas
 from .data import LabeledDataset, check_draw_memory, curve_subsamples, derived_seed
-from .data import format_float, pass_curves, _at_state, _derived_seeds, _pcg64_states
+from .data import format_float, _at_state, _derived_seeds, _pcg64_states
 from .estimators import HistogramConfig, KernelConfig, bin_ids
-# unused here; perfbench's tracer wraps these names (ROADMAP item 5)
+# unused here; perfbench's tracer wraps these names (ROADMAP item 13)
 from .estimators import histogram_mi, kernel_mi
 from .metrics import MetricSpec, distance_matrix
 
@@ -316,41 +316,37 @@ def _candidate_block(protocol: BenchmarkProtocol, seed: int, start: int, stop: i
                     lo.tolist(), hi.tolist()))
 
 
-def _evaluate_group(protocol, widths, sizes, repeats, seed, indices) -> list[dict]:
-    """The estimates of accepted candidates ``indices``, one dict each, in their order.
+def _evaluate(protocol, widths, sizes, repeats, seed, idx) -> dict:
+    """The estimates of accepted candidate ``idx``.
 
-    Every dataset of a protocol has the same design, so one batch draws the
-    curves of all of them: candidate idx's kernel curve from seed
-    ``derived_seed(seed, idx, 2)`` and its histogram curves from
-    ``derived_seed(seed, idx, 3)``, each as its own ``subsample_draws``
-    would.  Widths whose bin ids are equal share one curve and fit.
+    One batch draws its kernel curve from seed ``derived_seed(seed, idx, 2)``
+    and its histogram curves from ``derived_seed(seed, idx, 3)``, each as its
+    own ``subsample_draws`` would.  Widths whose bin ids are equal share one
+    curve and fit.
     """
-    datasets = [generate_toy(_candidate_spec(protocol, seed, idx))[0] for idx in indices]
-    seeds = [derived_seed(seed, idx, purpose) for idx in indices for purpose in (2, 3)]
-    curves = iter(curve_subsamples(datasets[0], sizes, repeats, seeds))
-    outcomes = []
-    for ds in datasets:
-        dm = distance_matrix(ds, MetricSpec.euclidean())
-        kdraws = list(zip(sizes, next(curves)))
-        kfit, _, kernel_raw = bias_corrected_mi(ds, dm, KernelConfig(n_h=protocol.n_t), kdraws)
-        # every width is evaluated on the same subsamples, drawn once, and
-        # each distinct partition of the points into bins once
-        hist_draws = list(zip(sizes, next(curves)))
-        by_partition, hist = {}, []  # bin ids -> (corrected, raw) of their curve
-        for width in widths:
-            config = HistogramConfig(width=width)
-            key = bin_ids(ds.vectors, config).tobytes()
-            if key not in by_partition:
-                hfit, _, raw = bias_corrected_mi(ds, None, config, hist_draws)
-                by_partition[key] = hfit.intercept_bits, raw
-            hist.append(by_partition[key])
-        outcomes.append({
-            "kernel_bits": kfit.intercept_bits,
-            "kernel_raw_bits": kernel_raw,
-            "hist_bits": [bits for bits, _ in hist],
-            "hist_raw_bits": [raw for _, raw in hist],
-        })
-    return outcomes
+    ds, _, _ = generate_toy(_candidate_spec(protocol, seed, idx))
+    dm = distance_matrix(ds, MetricSpec.euclidean())
+    seeds = [derived_seed(seed, idx, 2), derived_seed(seed, idx, 3)]
+    kcurve, hcurve = curve_subsamples(ds, sizes, repeats, seeds)
+    kdraws = list(zip(sizes, kcurve))
+    kfit, _, kernel_raw = bias_corrected_mi(ds, dm, KernelConfig(n_h=protocol.n_t), kdraws)
+    # every width is evaluated on the same subsamples, drawn once, and
+    # each distinct partition of the points into bins once
+    hist_draws = list(zip(sizes, hcurve))
+    by_partition, hist = {}, []  # bin ids -> (corrected, raw) of their curve
+    for width in widths:
+        config = HistogramConfig(width=width)
+        key = bin_ids(ds.vectors, config).tobytes()
+        if key not in by_partition:
+            hfit, _, raw = bias_corrected_mi(ds, None, config, hist_draws)
+            by_partition[key] = hfit.intercept_bits, raw
+        hist.append(by_partition[key])
+    return {
+        "kernel_bits": kfit.intercept_bits,
+        "kernel_raw_bits": kernel_raw,
+        "hist_bits": [bits for bits, _ in hist],
+        "hist_raw_bits": [raw for _, raw in hist],
+    }
 
 
 def run_benchmark(
@@ -394,14 +390,11 @@ def run_benchmark(
     change no decision.  A pruned run's last block draws up to 63 candidates
     past its last attempt; an unpruned run draws none.  Up to
     ``max_workers`` processes (default: all cores, never more than the
-    accepted datasets) evaluate the estimators, on groups of consecutive
-    accepted datasets: as many as ``data.pass_curves`` lets one draw pass
-    hold (at the toy benchmark's protocol, one dataset's two curves), at
-    least one, split evenly into a whole number of groups per worker.  One
-    batch draws all the curves of a group, and histogram widths that put
-    the points in the same bins share one curve.  The result is independent
-    of ``max_workers``: every dataset consumes only its own derived
-    substreams and results are merged in dataset order.
+    accepted datasets) evaluate the estimators, one accepted dataset at a
+    time.  One batch draws a dataset's kernel and histogram curves, and
+    histogram widths that put the points in the same bins share one curve.
+    The result is independent of ``max_workers``: every dataset consumes
+    only its own derived substreams and results are merged in dataset order.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -417,10 +410,8 @@ def run_benchmark(
     sizes = [math.floor(lam * protocol.n_t) for lam in lambdas]
     if len(set(sizes)) < 3:
         raise ValueError("lambda grid leaves fewer than 3 usable subsample sizes")
-    # a group's curves, two a dataset, are drawn in one pass
-    group_cap = pass_curves(protocol.n_s, protocol.n_t, sizes, repeats) // 2
-    group_cap = min(max(1, group_cap), protocol.dataset_count)
-    check_draw_memory(protocol.n_s, protocol.n_t, sizes, repeats, 2 * group_cap)
+    # a dataset's two curves, kernel and histogram, are drawn in one pass
+    check_draw_memory(protocol.n_s, protocol.n_t, sizes, repeats, 2)
 
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
@@ -466,21 +457,16 @@ def run_benchmark(
             f"datasets after {attempts} attempts"
         )
 
-    evaluate = functools.partial(_evaluate_group, protocol, widths, sizes, repeats, seed)
+    evaluate = functools.partial(_evaluate, protocol, widths, sizes, repeats, seed)
     indices = [idx for idx, _, _, _ in accepted]
     # a pool starts all its workers at its first map, so it gets no more
     # than there are datasets (the first candidate is always accepted)
     workers = min(max_workers or os.cpu_count() or 1, len(indices))
-    # the fewest groups within the cap, rounded up to a whole number per
-    # worker, no more than the datasets, and as even as they divide
-    count = -(-len(indices) // group_cap)
-    count = min(-(-count // workers) * workers, len(indices))
-    groups = [group.tolist() for group in np.array_split(indices, count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for group in pool.map(evaluate, groups) for o in group]
+            outcomes = list(pool.map(evaluate, indices))
     else:
-        outcomes = [o for group in map(evaluate, groups) for o in group]
+        outcomes = list(map(evaluate, indices))
 
     truths = np.array([t for _, _, _, t in accepted])
     if outcomes:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from metricmi import LabeledDataset, derived_seed, subsample_batch, subsample_indices
+from metricmi import LabeledDataset, derived_seed, subsample_indices
 from metricmi import data
 
 # numpy's PCG64 multiplier; a state s steps to s * MULT + inc (mod 2**128)
@@ -15,6 +15,16 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def choice_draw(d, k, rng):
     """The indices that ``rng.choice(row, k, replace=False)`` picks from each stimulus, ascending."""
     return np.sort(np.concatenate([rng.choice(row, k, replace=False) for row in d.positions]))
+
+
+def one_fraction(d, k, seeds):
+    """Per seed, the one draw of a curve of one fraction, k trials, and one repeat."""
+    return [curve[0][0] for curve in data.curve_subsamples(d, [k], 1, seeds)]
+
+
+def seed_rng(seed):
+    """The generator of that draw: its lane seed is derived_seed(seed, 0, 0)."""
+    return np.random.default_rng(derived_seed(seed, 0, 0))
 
 
 def fraction(k, n_t):
@@ -42,26 +52,48 @@ def test_batch_is_numpy_choice_on_every_row(spikes):
         d = dataset(rng, n_s, n_t, spikes)
         for k in sorted({1, 2, n_t // 2, n_t - 1} - {0, n_t}):
             seeds = [int(s) for s in rng.integers(0, 2**32, 12)]
-            got = subsample_batch(d, fraction(k, n_t), seeds)
+            got = one_fraction(d, k, seeds)
             assert len(got) == len(seeds)
             for seed, idx in zip(seeds, got):
                 assert idx.dtype == np.intp
-                assert np.array_equal(idx, choice_draw(d, k, np.random.default_rng(seed)))
+                assert np.array_equal(idx, choice_draw(d, k, seed_rng(seed)))
                 checked += 1
     assert checked > 300
 
 
 def test_one_seed_is_the_batch_of_one():
+    # a lone draw at the lane seed is the batch's draw; a seed repeated in a
+    # batch draws the same twice
     d = dataset(np.random.default_rng(3), 4, 10)
     seeds = [0, 7, 7, 2**32 - 1]
-    batch = subsample_batch(d, 0.5, seeds)
+    batch = one_fraction(d, 5, seeds)
     for seed, idx in zip(seeds, batch):
-        assert np.array_equal(idx, subsample_indices(d, 0.5, seed))
+        assert np.array_equal(idx, subsample_indices(d, 0.5, derived_seed(seed, 0, 0)))
     assert np.array_equal(batch[1], batch[2])
-    assert subsample_batch(d, 0.5, []) == []
-    assert all(np.array_equal(idx, np.arange(d.n_r)) for idx in subsample_batch(d, 1.0, seeds))
+    assert all(np.array_equal(subsample_indices(d, 1.0, s), np.arange(d.n_r)) for s in seeds)
     with pytest.raises(ValueError, match="nonnegative"):
-        subsample_batch(d, 0.5, [3, -1])
+        subsample_indices(d, 0.5, -1)
+    with pytest.raises(ValueError, match="leaves no trials"):
+        subsample_indices(d, 0.05, 0)
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+        subsample_indices(d, 1.5, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 1])
+def test_lone_draw_is_numpy_choice_row_by_row(seed):
+    # SeedSequence words of one to seven; every trial, and k past the tail-shuffle cutoff
+    rng = np.random.default_rng(31)
+    labels = np.repeat(np.arange(2), 10001)
+    cutoff = LabeledDataset.from_vectors(np.zeros((labels.size, 1)), labels)
+    cases = [(dataset(rng, 3, 12), 5, fraction(5, 12)), (dataset(rng, 4, 9), 9, 1.0),
+             (cutoff, 201, fraction(201, 10001))]
+    for d, k, lam in cases:
+        idx = subsample_indices(d, lam, seed)
+        assert idx.dtype == np.intp and idx.size == d.n_s * k
+        want = np.random.default_rng(seed)
+        for row in d.positions:
+            picks = want.choice(row, k, replace=False)
+            assert np.array_equal(idx[np.isin(idx, row)], np.sort(picks))
 
 
 @pytest.mark.parametrize("n_t, k", [(10000, 200), (10000, 201), (10001, 200), (10001, 201)])
@@ -71,8 +103,8 @@ def test_both_sides_of_numpy_tail_shuffle_cutoff(n_t, k):
     labels = np.repeat(np.arange(2), n_t)
     d = LabeledDataset.from_vectors(np.zeros((labels.size, 1)), labels)
     seeds = list(range(6))
-    for seed, idx in zip(seeds, subsample_batch(d, fraction(k, n_t), seeds)):
-        assert np.array_equal(idx, choice_draw(d, k, np.random.default_rng(seed)))
+    for seed, idx in zip(seeds, one_fraction(d, k, seeds)):
+        assert np.array_equal(idx, choice_draw(d, k, seed_rng(seed)))
 
 
 def zero_first_word(seed):
@@ -127,7 +159,14 @@ def test_lane_seeds_are_derived_seed():
 def test_lane_states_are_pcg64_states():
     rng = np.random.default_rng(29)
     seeds = [*EDGE_SEEDS, *(int(s) for s in rng.integers(0, 2**32, 20)), 2**200 + 1]
-    for s, (state, inc) in zip(seeds, data._pcg64_states(*data._seed_words(seeds))):
+    # SeedSequence's words of each seed, least significant first, one column a
+    # seed and zeros past its own; and their counts
+    words = [[s >> at & 2**32 - 1 for at in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
+    entropy = np.zeros((max(map(len, words)), len(seeds)), dtype=np.uint32)
+    for lane, w in enumerate(words):
+        entropy[: len(w), lane] = w
+    lengths = np.array([len(w) for w in words])
+    for s, (state, inc) in zip(seeds, data._pcg64_states(entropy, lengths)):
         assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}, s
 
 

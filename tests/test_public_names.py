@@ -17,3 +17,8 @@ def test_star_import_resolves_every_export():
     # only the tests restrict or compare datasets (conftest.take, conftest.same_dataset)
     assert not hasattr(metricmi.LabeledDataset, "take")
     assert metricmi.LabeledDataset.__eq__ is object.__eq__
+    # lone draws are numpy's own choice, and the benchmark draws a dataset at a time
+    assert not hasattr(metricmi, "subsample_batch")
+    for name in ("subsample_batch", "pass_curves", "_PASS_CELLS", "_seed_words"):
+        assert not hasattr(metricmi.data, name), name
+    assert not hasattr(metricmi.toybench, "_evaluate_group")

@@ -38,11 +38,12 @@ squared distances must add dimensions in cdist's order and whose seeds must
 hash as SeedSequence does; so the four outputs of one pruned ``metricmi
 benchmark`` at 10 dimensions, where about 2000 candidates are screened after
 the last acceptance, and of one at base seed 2^64 + 5, three SeedSequence
-words, are compared too.  Accepted datasets are evaluated in groups, and
-histogram widths that put the points in the same bins share one curve; so
-the four outputs of one pruned ``metricmi benchmark`` at 3 threads, whose 10
-datasets go as groups of 4, 3 and 3, over widths 0.25, 3, 4 and 10, where
-some widths share bins and some do not, are compared as well.  Every
+words, are compared too.  Accepted datasets are split over worker
+processes, and histogram widths that put the points in the same bins share
+one curve; so the four outputs of one pruned ``metricmi benchmark`` at 3
+threads, whose 10 datasets the 3 workers do not share evenly, over widths
+0.25, 3, 4 and 10, where some widths share bins and some do not, are
+compared as well.  Every
 output's SHA-256 is compared (385 outputs in all); the names that differ, or
 exist on one side only, are printed, and the exit status is 1 if there are
 any.  A
