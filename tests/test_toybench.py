@@ -622,6 +622,51 @@ class TestRunBenchmark:
         assert len(results[0].records) == datasets
         assert all(same_result(other, results[0]) for other in results[1:])
 
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "no-prune"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_dataset_draws_its_curves_in_one_call(self, monkeypatch, workers, prune):
+        # every accepted dataset is evaluated once, in order, and one draw
+        # call with its own two substreams gives its kernel and histogram curves
+        evaluated, draws = [], []
+        real_evaluate, real_draw = toybench._evaluate, toybench.curve_subsamples
+
+        def evaluating(*args):
+            evaluated.append(args[-1])
+            n = len(draws)
+            out = real_evaluate(*args)
+            assert len(draws) == n + 1
+            return out
+
+        def drawing(ds, sizes, repeats, seeds):
+            draws.append((ds, list(seeds)))
+            return real_draw(ds, sizes, repeats, seeds)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(toybench, "_evaluate", evaluating)
+        monkeypatch.setattr(toybench, "curve_subsamples", drawing)
+        monkeypatch.setattr(toybench, "ProcessPoolExecutor", InlinePool)
+        protocol = BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=10, prune=prune)
+        res = run_benchmark(protocol, seed=1, widths=(1.0, 2.0), repeats=2, mc_samples=300,
+                            max_workers=workers)
+        assert evaluated == sorted(set(evaluated)) and len(evaluated) == 10
+        assert [r.seed for r in res.records] == [derived_seed(1, i, 0) for i in evaluated]
+        for idx, (ds, seeds) in zip(evaluated, draws):
+            assert seeds == [derived_seed(1, idx, 2), derived_seed(1, idx, 3)]
+            spec = toybench._candidate_spec(protocol, 1, idx)
+            assert same_dataset(ds, generate_toy(spec)[0])
+
     def test_prune_needs_divisible_count(self):
         with pytest.raises(ValueError):
             BenchmarkProtocol(n_s=3, n_d=2, n_t=10, dataset_count=7)
